@@ -358,11 +358,11 @@ func BenchmarkPoissonCG(b *testing.B) {
 // --- Batched multi-RHS block solves -----------------------------------
 
 // BenchmarkBatchedSolve compares s sequential SolveInto runs against one
-// block solve of the same s right-hand sides on a cached plate (system and
-// preconditioner prebuilt, workspaces warm — the solver service's steady
-// state). The block solve shares one SpMM and one block preconditioner
-// sweep per iteration across the batch; the acceptance target is ≥1.3×
-// throughput at s=8 (compare the rhs/s metrics).
+// interleaved block solve of the same s right-hand sides on a cached plate
+// (system and preconditioner prebuilt, workspaces warm — the solver
+// service's steady state). The block solve shares one SpMM and one panel
+// preconditioner sweep per iteration across the batch; the acceptance
+// target is ≥1.3× throughput at s=8 (compare the rhs/s metrics).
 func BenchmarkBatchedSolve(b *testing.B) {
 	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
 	if err != nil {
@@ -403,9 +403,11 @@ func BenchmarkBatchedSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("block/s=%d", s), func(b *testing.B) {
 			bws := cg.NewBlockWorkspace(n, s)
 			u := vec.NewMulti(n, s)
+			bopt := opt
+			bopt.Interleave = true
 			var spmms int
 			for i := 0; i < b.N; i++ {
-				st, err := cg.SolveBlockInto(u, sys.K, f, pc, opt, bws)
+				st, err := cg.SolveBlockInto(u, sys.K, f, pc, bopt, bws)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -419,10 +421,11 @@ func BenchmarkBatchedSolve(b *testing.B) {
 
 // BenchmarkTiledBlockSolve compares an untiled s=32 block solve against the
 // planner's tiled execution of the same batch on the cached 100×100 plate
-// (system and preconditioner prebuilt, workspace warm). Untiled, the four
-// CG scratch multivectors plus iterate and RHS hold 32 columns of n≈19800
-// — a ~30 MB working set re-streamed every iteration; the default planner
-// budget tiles it into 8-column solves (~7.6 MB) executed sequentially,
+// (system and preconditioner prebuilt, workspace warm), both on the
+// interleaved panels. Untiled, the CG scratch panels plus iterate and RHS
+// hold 32 columns of n≈19800 — a ~30 MB working set re-streamed every
+// iteration; the default planner budget tiles it into 8-column solves
+// (~7.6 MB) executed sequentially,
 // trading extra matrix traversals (one SpMM per tile iteration instead of
 // one per batch iteration) for multivector cache residency. Compare the
 // rhs/s metrics.
@@ -436,7 +439,7 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := cg.Options{Tol: 1e-7, MaxIter: 5000}
+	opt := cg.Options{Tol: 1e-7, MaxIter: 5000, Interleave: true}
 	n := sys.K.Rows
 	const s = 32
 	f := vec.NewMulti(n, s)
@@ -477,8 +480,8 @@ func BenchmarkTiledBlockSolve(b *testing.B) {
 	})
 }
 
-// BenchmarkSpMM measures the matrix–multivector kernels against s repeated
-// SpMVs over the paper's plate matrix in CSR and DIA storage.
+// BenchmarkSpMM measures the interleaved matrix–multivector kernels against
+// s repeated SpMVs over the paper's plate matrix in CSR and DIA storage.
 func BenchmarkSpMM(b *testing.B) {
 	sys, _, err := core.PlateSystem(40, 40, fem.Options{})
 	if err != nil {
@@ -493,6 +496,7 @@ func BenchmarkSpMM(b *testing.B) {
 		x.Data[i] = float64(i%13) - 6
 	}
 	dst := vec.NewMulti(n, s)
+	ix, idst := x.Interleaved(), vec.NewIMulti(n, s)
 	b.Run("csr/spmv-x8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < s; j++ {
@@ -502,7 +506,7 @@ func BenchmarkSpMM(b *testing.B) {
 	})
 	b.Run("csr/spmm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			k.MulMatTo(dst, x)
+			k.MulMatITo(idst, ix, nil)
 		}
 	})
 	b.Run("dia/spmv-x8", func(b *testing.B) {
@@ -514,17 +518,16 @@ func BenchmarkSpMM(b *testing.B) {
 	})
 	b.Run("dia/spmm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dia.MulMatTo(dst, x)
+			dia.MulMatITo(idst, ix, nil)
 		}
 	})
 }
 
-// BenchmarkKernelSpMM is the layout ablation behind the interleaved panel
-// path: the same 8-column SpMM over the cached 100×100 plate matrix, run
-// column-contiguous (MulMatTo) and row-interleaved (MulMatITo) under both
-// kernel sets. In the interleaved layout one gathered row index feeds all
-// eight columns from one cache line; the interleaved/accelerated variant is
-// the one the planner schedules for wide tiles.
+// BenchmarkKernelSpMM is the kernel-set ablation behind the interleaved
+// panel path: the same 8-column SpMM over the cached 100×100 plate matrix,
+// run row-interleaved (MulMatITo) under both kernel sets. One gathered row
+// index feeds all eight columns from one cache line; the accelerated
+// variant is the one the planner schedules for wide tiles.
 func BenchmarkKernelSpMM(b *testing.B) {
 	sys, _, err := core.PlateSystem(100, 100, fem.Options{})
 	if err != nil {
@@ -537,7 +540,6 @@ func BenchmarkKernelSpMM(b *testing.B) {
 	for i := range x.Data {
 		x.Data[i] = float64(i%13) - 6
 	}
-	dst := vec.NewMulti(n, s)
 	ix := x.Interleaved()
 	idst := vec.NewIMulti(n, s)
 	dia := sparse.MustDIAFromCSR(k)
@@ -545,17 +547,6 @@ func BenchmarkKernelSpMM(b *testing.B) {
 		name string
 		impl *kernel.Impl
 	}{{"portable", kernel.Portable()}, {"active", kernel.Active()}} {
-		b.Run("csr/column/s=8/"+set.name, func(b *testing.B) {
-			// MulMatTo dispatches through the global active set; pin it so
-			// both rows of the ablation are honest.
-			if set.name == "portable" && kernel.Active().Name != "portable" {
-				b.Skip("column path always runs the startup-selected set")
-			}
-			for i := 0; i < b.N; i++ {
-				k.MulMatTo(dst, x)
-			}
-			b.ReportMetric(float64(k.NNZ())*s*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop-pairs/s")
-		})
 		b.Run("csr/interleaved/s=8/"+set.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k.MulMatITo(idst, ix, set.impl)
@@ -575,7 +566,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 // multicolor plate (a fixed ~47-diagonal family at every size, DIA fill
 // ≈ 0.25) and the 5-point Poisson stencil (5 dense diagonals, fill ≈ 1 —
 // the ideal vector-triad regime). Reported per backend for the scalar
-// SpMV and the 8-column SpMM.
+// SpMV and the 8-column interleaved SpMM.
 func BenchmarkSpMVBackends(b *testing.B) {
 	sys, _, err := core.PlateSystem(40, 40, fem.Options{})
 	if err != nil {
@@ -604,15 +595,15 @@ func BenchmarkSpMVBackends(b *testing.B) {
 		for i := range xm.Data {
 			xm.Data[i] = float64(i%13) - 6
 		}
-		dst := vec.NewMulti(n, s)
+		ixm, idst := xm.Interleaved(), vec.NewIMulti(n, s)
 		for _, run := range []struct {
 			name string
 			fn   func()
 		}{
 			{"csr/spmv", func() { tc.k.MulVecTo(y, x) }},
 			{"dia/spmv", func() { dia.MulVecTo(y, x) }},
-			{"csr/spmm8", func() { tc.k.MulMatTo(dst, xm) }},
-			{"dia/spmm8", func() { dia.MulMatTo(dst, xm) }},
+			{"csr/spmm8", func() { tc.k.MulMatITo(idst, ixm, nil) }},
+			{"dia/spmm8", func() { dia.MulMatITo(idst, ixm, nil) }},
 		} {
 			b.Run(tc.name+"/"+run.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

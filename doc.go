@@ -28,10 +28,11 @@
 //	})
 //	fmt.Println(res.Stats.Iterations, "iterations")
 //
-// The solver's fused inner loops (SpMM, block dot/axpy, the multicolor
+// The solver's fused inner loops (SpMM, panel dot/axpy, the multicolor
 // sweep) dispatch through internal/kernel: CPU feature detection selects
 // an accelerated implementation set at startup, wide batch tiles run on a
-// row-interleaved panel layout, and REPRO_KERNEL=portable (or
+// row-interleaved panel layout (other tiles solve their columns one by one
+// through the scalar recurrence), and REPRO_KERNEL=portable (or
 // Config.Kernel) forces the portable reference set — bit-identical
 // results either way, so the knob only changes speed.
 //

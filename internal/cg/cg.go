@@ -59,13 +59,15 @@ type Options struct {
 	// long-running solve instead of leaking it.
 	Ctx context.Context
 	// OnColumnDone, when non-nil, is invoked by block solves the moment a
-	// column leaves the active set — converged, broken down, canceled, or
-	// out of iterations — with the column's original right-hand-side index
-	// and its final statistics. It fires from the solving goroutine while
-	// the remaining columns keep iterating, so early-converging columns
-	// surface before the block finishes; the column's slice of the iterate
-	// block is final and safe to read inside the callback. Every column
-	// fires exactly once per solve. Scalar solves ignore it.
+	// column finishes — converged, broken down, canceled, or out of
+	// iterations — with the column's original right-hand-side index and
+	// its final statistics. It fires from the solving goroutine: on the
+	// interleaved panel body while the remaining columns keep iterating, so
+	// early-converging columns surface before the block finishes; on the
+	// column-by-column body right after that column's solve. The column's
+	// slice of the iterate block is final and safe to read inside the
+	// callback. Every column fires exactly once per solve. Scalar solves
+	// ignore it.
 	OnColumnDone func(col int, stats ColumnStats)
 	// Observer, when non-nil, receives one convergence sample per iteration
 	// — per active column for block solves — from the solve hot loop. It is
@@ -75,25 +77,27 @@ type Options struct {
 	// with an Observer attached — see the AllocsPerRun guards).
 	Observer Observer
 	// Interleave requests the row-interleaved panel layout for block
-	// solves: the block is converted once at entry, iterated on with the
-	// fused interleaved kernels, and converted back as columns finish. It
-	// is honored only when both the operator and the preconditioner can
-	// serve interleaved panels (sparse.InterleavedOperator and
-	// precond.InterleavedApplier); otherwise the column-contiguous path
-	// runs and BlockStats.Interleaved reports false. Column iterates are
-	// bit-identical either way. Scalar solves ignore it.
+	// solves: the block is converted once at entry, iterated on in lockstep
+	// with the fused interleaved kernels, and converted back as columns
+	// finish. It is honored only when both the operator and the
+	// preconditioner can serve interleaved panels
+	// (sparse.InterleavedOperator and precond.InterleavedApplier);
+	// otherwise, and whenever it is false, the columns run one by one
+	// through the scalar recurrence and BlockStats.Interleaved reports
+	// false. Column iterates are bit-identical either way. Scalar solves
+	// ignore it.
 	Interleave bool
-	// Kernel selects the kernel set for the interleaved block path: "" or
+	// Kernel selects the kernel set for the interleaved panel body: "" or
 	// "auto" for the startup-selected set, "portable" for the reference
-	// set (kernel.Select). The column-contiguous path always uses the
+	// set (kernel.Select). Columns run one by one always use the
 	// startup-selected set.
 	Kernel string
 }
 
-// Observer receives per-iteration convergence telemetry. col is the
-// right-hand-side index (0 for scalar solves), iter the 1-based iteration
-// count for that column, udiff the paper's stopping quantity
-// ‖u^{k+1}−u^k‖_∞ and relres the relative residual ‖r‖₂/‖f‖₂.
+// Observer receives per-iteration convergence telemetry. col is the block
+// solve's tile-local right-hand-side index (0 for scalar solves), iter the
+// 1-based iteration count for that column, udiff the paper's stopping
+// quantity ‖u^{k+1}−u^k‖_∞ and relres the relative residual ‖r‖₂/‖f‖₂.
 // obs.ConvergenceLog is the standard implementation; the interface lives
 // here so the solver kernels depend on nothing above them.
 type Observer interface {

@@ -8,17 +8,19 @@ import (
 	"repro/internal/vec"
 )
 
-// TestOnColumnDoneFiresOncePerColumn: every column of a block solve fires
-// the hook exactly once, with its original RHS index, its final stats, and
-// a final (safe-to-read) iterate column.
+// TestOnColumnDoneFiresOncePerColumn: every column of a panel block solve
+// fires the hook exactly once, with its original RHS index, its final stats
+// (the iteration count SolveInto needs on that column), and a final
+// (safe-to-read) iterate column.
 func TestOnColumnDoneFiresOncePerColumn(t *testing.T) {
 	const s = 6
-	k, f, p := blockFixture(t, s)
+	k, f, p := interleavedFixture(t, s, 3)
 	u := vec.NewMulti(k.Rows, s)
+	_, ref, _ := scalarRef(t, k, f, p, Options{Tol: 1e-9, MaxIter: 5000})
 
 	fired := make(map[int]ColumnStats)
 	order := []int{}
-	opt := Options{Tol: 1e-9, MaxIter: 5000}
+	opt := Options{Tol: 1e-9, MaxIter: 5000, Interleave: true}
 	opt.OnColumnDone = func(col int, cs ColumnStats) {
 		if _, dup := fired[col]; dup {
 			t.Errorf("column %d fired twice", col)
@@ -42,8 +44,8 @@ func TestOnColumnDoneFiresOncePerColumn(t *testing.T) {
 			t.Errorf("column %d: converged=%v err=%v", j, cs.Stats.Converged, cs.Err)
 		}
 		// The hook's snapshot must match the end-of-solve report.
-		if cs.Stats.Iterations != st.Cols[j].Iterations {
-			t.Errorf("column %d: hook iterations %d != final %d", j, cs.Stats.Iterations, st.Cols[j].Iterations)
+		if cs.Stats.Iterations != st.Cols[j].Iterations || cs.Stats.Iterations != ref[j].Iterations {
+			t.Errorf("column %d: hook iterations %d, final %d, SolveInto %d", j, cs.Stats.Iterations, st.Cols[j].Iterations, ref[j].Iterations)
 		}
 	}
 	// Columns deflate in convergence order, which is generally not RHS
@@ -57,12 +59,12 @@ func TestOnColumnDoneFiresOncePerColumn(t *testing.T) {
 	}
 }
 
-// TestOnColumnDoneEarlySurfacing: an easy column's hook must fire at an
-// iteration count strictly below the hard column's total — the property
-// the service's streaming relies on.
+// TestOnColumnDoneEarlySurfacing: on panels, an easy column's hook must
+// fire at an iteration count strictly below the hard column's total — the
+// property the service's streaming relies on.
 func TestOnColumnDoneEarlySurfacing(t *testing.T) {
 	const s = 4
-	k, f, p := blockFixture(t, s)
+	k, f, p := interleavedFixture(t, s, 3)
 	// Column 0 keeps its random (hard) RHS; the rest become tiny multiples
 	// of it, which converge almost immediately under the absolute tol.
 	for j := 1; j < s; j++ {
@@ -73,7 +75,7 @@ func TestOnColumnDoneEarlySurfacing(t *testing.T) {
 	u := vec.NewMulti(k.Rows, s)
 	var firstCol, firstIters = -1, 0
 	hardIters := 0
-	opt := Options{Tol: 1e-8, MaxIter: 5000}
+	opt := Options{Tol: 1e-8, MaxIter: 5000, Interleave: true}
 	opt.OnColumnDone = func(col int, cs ColumnStats) {
 		if firstCol < 0 {
 			firstCol, firstIters = col, cs.Stats.Iterations

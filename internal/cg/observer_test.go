@@ -7,20 +7,27 @@ import (
 	"repro/internal/obs"
 	"repro/internal/poly"
 	"repro/internal/precond"
+	"repro/internal/sparse"
 	"repro/internal/splitting"
 	"repro/internal/vec"
 )
 
 // countObserver records iteration telemetry into preallocated fields — the
 // shape of a production tap with no buffer growth in the hot path.
+// outOfOrder counts samples whose iteration does not follow the column's
+// previous one.
 type countObserver struct {
-	calls    int
-	lastIter [8]int
-	lastVal  [8]float64
+	calls      int
+	outOfOrder int
+	lastIter   [8]int
+	lastVal    [8]float64
 }
 
 func (o *countObserver) ObserveIteration(col, iter int, udiff, relres float64) {
 	o.calls++
+	if iter != o.lastIter[col]+1 {
+		o.outOfOrder++
+	}
 	o.lastIter[col] = iter
 	if relres > 0 {
 		o.lastVal[col] = relres
@@ -113,36 +120,50 @@ func TestSolveIntoObserverZeroAllocations(t *testing.T) {
 	}
 }
 
-// TestSolveBlockObserver: the block solver reports block-local column
-// indices with per-column iteration streams, and stays allocation-free in
+// TestSolveBlockObserver: both block bodies report block-local column
+// indices with per-column iteration streams, and stay allocation-free in
 // the steady state with an observer attached.
 func TestSolveBlockObserver(t *testing.T) {
-	k, f, p := blockFixture(t, 4)
-	var o countObserver
-	opt := Options{Tol: 1e-9, MaxIter: 5000, Observer: &o}
-	ws := NewBlockWorkspace(k.Rows, 4)
-	u := vec.NewMulti(k.Rows, 4)
-	st, err := SolveBlockInto(u, k, f, p, opt, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int
-	for c := 0; c < 4; c++ {
-		if o.lastIter[c] != st.Cols[c].Iterations {
-			t.Errorf("column %d observed through iter %d, stats say %d", c, o.lastIter[c], st.Cols[c].Iterations)
-		}
-		total += st.Cols[c].Iterations
-	}
-	if o.calls != total {
-		t.Fatalf("observer fired %d times over %d column-iterations", o.calls, total)
-	}
-
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := SolveBlockInto(u, k, f, p, opt, ws); err != nil {
+	for _, tc := range []struct {
+		name       string
+		interleave bool
+		fixture    func(t *testing.T, s int) (*sparse.CSR, *vec.Multi, precond.Preconditioner)
+	}{
+		{"column by column", false, blockFixture},
+		{"panels", true, func(t *testing.T, s int) (*sparse.CSR, *vec.Multi, precond.Preconditioner) {
+			return interleavedFixture(t, s, 3)
+		}},
+	} {
+		k, f, p := tc.fixture(t, 4)
+		var o countObserver
+		opt := Options{Tol: 1e-9, MaxIter: 5000, Observer: &o, Interleave: tc.interleave}
+		ws := NewBlockWorkspace(k.Rows, 4)
+		u := vec.NewMulti(k.Rows, 4)
+		st, err := SolveBlockInto(u, k, f, p, opt, ws)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("observed block solve allocated %.1f times per run, want 0", allocs)
+		if st.Interleaved != tc.interleave {
+			t.Fatalf("%s: Interleaved = %v", tc.name, st.Interleaved)
+		}
+		var total int
+		for c := 0; c < 4; c++ {
+			if o.lastIter[c] != st.Cols[c].Iterations {
+				t.Errorf("%s: column %d observed through iter %d, stats say %d", tc.name, c, o.lastIter[c], st.Cols[c].Iterations)
+			}
+			total += st.Cols[c].Iterations
+		}
+		if o.calls != total || o.outOfOrder != 0 {
+			t.Fatalf("%s: observer fired %d times over %d column-iterations, %d out of order", tc.name, o.calls, total, o.outOfOrder)
+		}
+
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := SolveBlockInto(u, k, f, p, opt, ws); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%s: observed block solve allocated %.1f times per run, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package cg
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/kernel"
 	"repro/internal/precond"
@@ -11,20 +10,25 @@ import (
 	"repro/internal/vec"
 )
 
-// BlockStats reports a block (multi-right-hand-side) solve: the shared
-// per-iteration work — exactly one SpMM and one block preconditioner
-// application per outer iteration — plus per-column recurrence statistics.
+// BlockStats reports a block (multi-right-hand-side) solve: the shared work
+// plus per-column recurrence statistics. On the interleaved panel body every
+// outer iteration performs exactly one SpMM and one block preconditioner
+// application for all active columns; on the column-by-column body the
+// counters sum the columns' scalar solves.
 type BlockStats struct {
 	// RHS is the number of right-hand sides s.
 	RHS int
-	// Iterations is the number of outer block iterations (the maximum over
-	// columns, since converged columns deflate out of later iterations).
+	// Iterations is the maximum iteration count over the columns: the
+	// number of outer panel iterations (converged columns deflate out of
+	// later ones), or the longest of the column-by-column solves.
 	Iterations int
-	// SpMMs counts matrix–multivector products: exactly one per outer
-	// iteration, shared by every active column.
+	// SpMMs counts matrix products: one matrix–multivector product per
+	// panel iteration, shared by every active column, or the sum of the
+	// columns' MatVecs on the column-by-column body.
 	SpMMs int
-	// BlockPrecondApps counts block preconditioner applications (one
-	// m-step sweep serving all active columns).
+	// BlockPrecondApps counts preconditioner applications: one m-step
+	// panel sweep serving all active columns, or the sum of the columns'
+	// PrecondApps on the column-by-column body.
 	BlockPrecondApps int
 	// InnerProducts counts per-column inner-product evaluations, the
 	// paper's bottleneck metric, summed over columns.
@@ -32,15 +36,16 @@ type BlockStats struct {
 	// Converged reports that every column converged.
 	Converged bool
 	// Interleaved reports that the solve ran on the row-interleaved panel
-	// layout (Options.Interleave honored by both operator and
-	// preconditioner).
+	// layout; false means its columns ran one by one through SolveInto.
 	Interleaved bool
-	// Kernel names the kernel set the solve's fused loops ran through
-	// ("portable", "avx2", "neon").
+	// Kernel names the kernel set the solve's loops ran through
+	// ("portable", "avx2", "neon"): Options.Kernel's choice on panels, the
+	// startup-selected set otherwise.
 	Kernel string
 	// Cols holds per-column statistics indexed by right-hand-side:
 	// Iterations is the count while the column was active, FinalUDiff /
-	// FinalRelRes are its last stopping-test values. Cols aliases the
+	// FinalRelRes are its last stopping-test values. The recurrence
+	// coefficients (CGAlphas, CGBetas) are not recorded. Cols aliases the
 	// workspace; copy entries that must survive the next solve.
 	Cols []Stats
 	// ColErrs holds the per-column failure (breakdown or iteration-limit),
@@ -63,17 +68,9 @@ type ColumnStats struct {
 // solves of same-shaped batches (the solver service's steady state)
 // allocate nothing. Not safe for concurrent use; give each worker its own.
 type BlockWorkspace struct {
-	r, rhat, p, kp *vec.Multi
-
-	// Active-prefix views, re-pointed (not reallocated) as converged
-	// columns deflate; kernels receive these so the steady state stays
-	// allocation-free.
-	rv, rhatv, pv, kpv vec.Multi
-
-	// Interleaved panels and views for the panel-layout path (see
-	// solveblocki.go), allocated lazily on the first interleaved solve; ui
-	// holds the iterate in panel form, pinf/rnorm the fused per-column
-	// norm results.
+	// Interleaved panels and views for the panel body (see solveblocki.go),
+	// allocated lazily on the first interleaved solve; ui holds the iterate
+	// in panel form, pinf/rnorm the fused per-column norm results.
 	ri, rhati, pi, kpi, ui      *vec.IMulti
 	riv, rhativ, piv, kpiv, uiv vec.IMulti
 	pinf, rnorm                 []float64
@@ -83,34 +80,40 @@ type BlockWorkspace struct {
 	// perm maps slot -> original right-hand-side index.
 	perm []int
 
+	// scalar is the scratch of the column-by-column body; col relabels
+	// that body's observer samples.
+	scalar Workspace
+	col    colObserver
+
 	cols []Stats
 	errs []error
 }
 
+// colObserver forwards a scalar solve's convergence samples under the
+// tile-local column index of the block solve running it.
+type colObserver struct {
+	obs Observer
+	j   int
+}
+
+func (o *colObserver) ObserveIteration(_, iter int, udiff, relres float64) {
+	o.obs.ObserveIteration(o.j, iter, udiff, relres)
+}
+
 // NewBlockWorkspace returns a workspace sized for n-dimensional systems
-// with s right-hand sides. It grows automatically when later used for a
-// larger system or batch.
+// with s right-hand sides; the interleaved panels are allocated by the
+// first solve that runs on them. It grows automatically when later used
+// for a larger system or batch.
 func NewBlockWorkspace(n, s int) *BlockWorkspace {
 	w := &BlockWorkspace{}
-	w.ensure(n, s)
+	w.scalar.ensure(n)
+	w.ensure(s)
 	return w
 }
 
-// ensure sizes every buffer for an n×s solve, reallocating only on growth.
-func (w *BlockWorkspace) ensure(n, s int) {
-	if w.r == nil || w.r.N < n || w.r.S < s {
-		// Grow to the larger of the current and requested shapes so a big
-		// batch on a small system does not shrink capacity for either axis.
-		nn, ss := n, s
-		if w.r != nil {
-			nn = max(nn, w.r.N)
-			ss = max(ss, w.r.S)
-		}
-		w.r = vec.NewMulti(nn, ss)
-		w.rhat = vec.NewMulti(nn, ss)
-		w.p = vec.NewMulti(nn, ss)
-		w.kp = vec.NewMulti(nn, ss)
-	}
+// ensure sizes the per-column buffers for an s-column solve, reallocating
+// only on growth.
+func (w *BlockWorkspace) ensure(s int) {
 	if cap(w.rho) < s {
 		w.rho = make([]float64, s)
 		w.pkp = make([]float64, s)
@@ -128,57 +131,38 @@ func (w *BlockWorkspace) ensure(n, s int) {
 	w.cols, w.errs = w.cols[:s], w.errs[:s]
 }
 
-// block points the working views at an n-row, s-column reinterpretation of
-// each scratch Multi's front. The backing buffers may have grown larger
-// than n×s; the views pack the s columns contiguously at stride n.
-func (w *BlockWorkspace) block(n, s int) {
-	view := func(m *vec.Multi) vec.Multi {
-		return vec.Multi{N: n, S: s, Data: m.Data[:n*s]}
-	}
-	w.rv, w.rhatv, w.pv, w.kpv = view(w.r), view(w.rhat), view(w.p), view(w.kp)
-}
-
-// setActive re-points the working views at the first act columns.
-func (w *BlockWorkspace) setActive(n, act int) {
-	w.rv.S, w.rhatv.S, w.pv.S, w.kpv.S = act, act, act, act
-	w.rv.Data = w.rv.Data[:n*act]
-	w.rhatv.Data = w.rhatv.Data[:n*act]
-	w.pv.Data = w.pv.Data[:n*act]
-	w.kpv.Data = w.kpv.Data[:n*act]
-}
-
-// SolveBlock runs block PCG on K·U = F for a batch of right-hand sides,
-// allocating its own result and scratch. Allocation-sensitive callers use
-// SolveBlockInto with a reused workspace.
-func SolveBlock(k sparse.Operator, f *vec.Multi, m precond.Preconditioner, opt Options) (*vec.Multi, BlockStats, error) {
-	rows, _ := k.Dims()
-	u := vec.NewMulti(rows, f.S)
-	st, err := SolveBlockInto(u, k, f, m, opt, nil)
-	return u, st, err
-}
-
 // SolveBlockInto runs preconditioned CG on s systems K·u_j = f_j sharing
-// one matrix and one preconditioner: s independent scalar CG recurrences
-// advance in lockstep, but every iteration performs exactly one
-// matrix–multivector product (Stats.SpMMs) and one block preconditioner
-// application — the per-iteration memory traffic over K is amortized over
-// all s right-hand sides, the multi-RHS form of the paper's
-// long-vector-operation argument. Each column runs the paper's stopping
-// tests independently; converged (or broken-down) columns are deflated —
-// swapped out of the active prefix — so later iterations do no work for
-// them. Column j's iterates match a scalar SolveInto on (K, f_j) exactly,
-// because every fused kernel preserves per-column arithmetic order.
+// one matrix and one preconditioner, on one of two bodies:
+//
+//   - When opt.Interleave is set and both the operator
+//     (sparse.InterleavedOperator) and the preconditioner
+//     (precond.CanApplyInterleaved) can serve row-interleaved panels, s
+//     scalar recurrences advance in lockstep on panels: every iteration
+//     performs exactly one matrix–multivector product (BlockStats.SpMMs) and
+//     one panel preconditioner application, so the per-iteration memory
+//     traffic over K is amortized over all s right-hand sides — the
+//     multi-RHS form of the paper's long-vector-operation argument. Each
+//     column runs the paper's stopping tests independently; converged (or
+//     broken-down) columns deflate out of the active set, so later
+//     iterations do no work for them.
+//   - Otherwise the columns run one after another through the scalar
+//     recurrence SolveInto, on a scalar workspace held in ws.
+//
+// Either way column j's iterate and Stats match a scalar SolveInto on
+// (K, f_j) bit for bit, except that the panel body starts from r⁰ = f
+// without SolveInto's initial product K·u⁰ and so counts one MatVec fewer.
 //
 // u receives the solutions (always starting from the zero iterate;
 // opt.X0 is rejected). opt.History, opt.OnIteration and
 // opt.VerifyResidual are scalar-solve options and are ignored here;
 // opt.Ctx, opt.OnColumnDone and opt.Observer are honored — cancellation
-// stops at the next iteration boundary, each column's retirement fires the
-// hook while the rest of the block keeps iterating, and the observer
-// samples every active column once per block iteration. With a
-// warm workspace and Workers ≤ 1 the steady state performs no heap
-// allocation; the returned BlockStats.Cols/ColErrs alias the workspace, so
-// copy them before its next solve if they must survive it.
+// stops at the next iteration boundary and columns not yet started do not
+// run, each column fires the hook once as it finishes (on panels, while the
+// rest of the block keeps iterating), and the observer samples every
+// active column once per iteration under its tile-local index. With a warm
+// workspace and Workers ≤ 1 the steady state performs no heap allocation;
+// the returned BlockStats.Cols/ColErrs alias the workspace, so copy them
+// before its next solve if they must survive it.
 //
 // The returned error is nil only when every column converged; otherwise it
 // joins the per-column failures (also available in BlockStats.ColErrs).
@@ -212,218 +196,58 @@ func SolveBlockInto(u *vec.Multi, k sparse.Operator, f *vec.Multi, m precond.Pre
 	if ws == nil {
 		ws = NewBlockWorkspace(n, s)
 	}
-	ws.ensure(n, s)
+	ws.ensure(s)
 	if opt.Interleave {
 		if ik, ok := k.(sparse.InterleavedOperator); ok && precond.CanApplyInterleaved(m) {
 			return solveBlockInterleaved(u, ik, f, m, opt, ws)
 		}
 	}
-	ws.block(n, s)
-	w := opt.Workers
-	if w < 1 {
-		w = 1
+	return solveColumns(u, k, f, m, opt, ws)
+}
+
+// solveColumns is the column-by-column body of SolveBlockInto; inputs are
+// already validated and ws.ensure has run. Every column runs SolveInto on
+// the workspace's one scalar scratch; a column that has not started when
+// the context is canceled does not run and reports the context's error.
+func solveColumns(u *vec.Multi, k sparse.Operator, f *vec.Multi, m precond.Preconditioner, opt Options, ws *BlockWorkspace) (BlockStats, error) {
+	st := BlockStats{RHS: f.S, Cols: ws.cols, ColErrs: ws.errs, Kernel: kernel.Active().Name}
+	copt := Options{
+		Tol:            opt.Tol,
+		RelResidualTol: opt.RelResidualTol,
+		MaxIter:        opt.MaxIter,
+		Workers:        opt.Workers,
+		Ctx:            opt.Ctx,
 	}
-
-	st := BlockStats{RHS: s, Cols: ws.cols, ColErrs: ws.errs, Kernel: kernel.Active().Name}
-	for j := range ws.cols {
-		ws.cols[j] = Stats{TrueRelRes: -1}
-		ws.errs[j] = nil
-		ws.perm[j] = j
-	}
-
-	// u⁰ = 0, so r⁰ = f with no initial product; every SpMM below is one of
-	// the per-iteration products the acceptance criterion counts.
-	u.Zero()
-	ws.rv.CopyFrom(f)
-	for j := 0; j < s; j++ {
-		nf := vec.Norm2(f.Col(j))
-		if nf == 0 {
-			nf = 1 // homogeneous column: absolute residual test
-		}
-		ws.normF[j] = nf
-	}
-
-	act := s
-	// deflate retires the column in the given active slot: its per-column
-	// bookkeeping is already final, so swap it (and every per-slot scalar
-	// the remaining iterations still read) past the active prefix, then
-	// surface it through OnColumnDone — the column's slice of u is final
-	// here, long before the slowest column finishes.
-	deflate := func(slot int) {
-		j := ws.perm[slot]
-		defer func() {
-			if opt.OnColumnDone != nil {
-				opt.OnColumnDone(j, ColumnStats{Stats: ws.cols[j], Err: ws.errs[j]})
-			}
-		}()
-		last := act - 1
-		if slot != last {
-			ws.rv.SwapCols(slot, last)
-			ws.rhatv.SwapCols(slot, last)
-			ws.pv.SwapCols(slot, last)
-			ws.kpv.SwapCols(slot, last)
-			ws.rho[slot], ws.rho[last] = ws.rho[last], ws.rho[slot]
-			ws.pkp[slot], ws.pkp[last] = ws.pkp[last], ws.pkp[slot]
-			ws.alpha[slot], ws.alpha[last] = ws.alpha[last], ws.alpha[slot]
-			ws.beta[slot], ws.beta[last] = ws.beta[last], ws.beta[slot]
-			ws.normF[slot], ws.normF[last] = ws.normF[last], ws.normF[slot]
-			ws.perm[slot], ws.perm[last] = ws.perm[last], ws.perm[slot]
-		}
-		act--
-		ws.setActive(n, act)
-	}
-
-	// M r̂⁰ = r⁰ ; p⁰ = r̂⁰ ; ρ⁰_j = (r̂_j, r_j).
-	precond.ApplyBlock(m, &ws.rhatv, &ws.rv)
-	st.BlockPrecondApps++
-	ws.pv.CopyFrom(&ws.rhatv)
-	vec.ParMultiDot(&ws.rhatv, &ws.rv, w, ws.rho[:act])
-	st.InnerProducts += act
-	for j := 0; j < s; j++ {
-		ws.cols[j].PrecondApps++
-		ws.cols[j].InnerProducts++
-	}
-	for slot := act - 1; slot >= 0; slot-- {
-		j := ws.perm[slot]
-		switch {
-		case ws.rho[slot] < 0:
-			ws.errs[j] = ErrBreakdownPrecond
-			deflate(slot)
-		case ws.rho[slot] == 0: // zero residual: the zero iterate solves column j
-			ws.cols[j].Converged = true
-			deflate(slot)
-		}
-	}
-
-	var stopErr error
-	for act > 0 && st.Iterations < opt.MaxIter {
-		if opt.Ctx != nil {
-			if cerr := opt.Ctx.Err(); cerr != nil {
-				stopErr = cerr
-				break
-			}
-		}
-		st.Iterations++
-
-		// One SpMM feeds every active column: KP = K·P.
-		k.ParMulMatTo(&ws.kpv, &ws.pv, w)
-		st.SpMMs++
-		vec.ParMultiDot(&ws.pv, &ws.kpv, w, ws.pkp[:act])
-		st.InnerProducts += act
-		for slot := 0; slot < act; slot++ {
-			c := &ws.cols[ws.perm[slot]]
-			c.MatVecs++
-			c.InnerProducts++
-		}
-		// Matrix breakdowns deflate before the iterate update, exactly
-		// where SolveInto stops.
-		for slot := act - 1; slot >= 0; slot-- {
-			if ws.pkp[slot] <= 0 {
-				ws.errs[ws.perm[slot]] = ErrBreakdownMatrix
-				deflate(slot)
-			}
-		}
-		if act == 0 {
-			break
-		}
-
-		for slot := 0; slot < act; slot++ {
-			ws.alpha[slot] = ws.rho[slot] / ws.pkp[slot]
-		}
-		// u_j += α_j p_j ; the paper's test quantity ‖u^{k+1}−u^k‖_∞ is
-		// |α_j|·‖p_j‖_∞ per column.
-		for slot := 0; slot < act; slot++ {
-			j := ws.perm[slot]
-			vec.ParAxpy(ws.alpha[slot], ws.pv.Col(slot), u.Col(j), w)
-			c := &ws.cols[j]
-			c.Iterations++
-			c.FinalUDiff = math.Abs(ws.alpha[slot]) * vec.NormInf(ws.pv.Col(slot))
-		}
-		// r_j −= α_j K p_j, fused across the block.
-		for slot := 0; slot < act; slot++ {
-			ws.beta[slot] = -ws.alpha[slot] // beta doubles as −α scratch here
-		}
-		vec.ParMultiAxpy(ws.beta[:act], &ws.kpv, &ws.rv, w)
-		for slot := 0; slot < act; slot++ {
-			j := ws.perm[slot]
-			c := &ws.cols[j]
-			c.FinalRelRes = vec.Norm2(ws.rv.Col(slot)) / ws.normF[slot]
-			if opt.Observer != nil {
-				opt.Observer.ObserveIteration(j, c.Iterations, c.FinalUDiff, c.FinalRelRes)
-			}
-		}
-		// Per-column stopping tests; converged columns deflate out.
-		for slot := act - 1; slot >= 0; slot-- {
-			c := &ws.cols[ws.perm[slot]]
-			if (opt.Tol > 0 && c.FinalUDiff < opt.Tol) || (opt.RelResidualTol > 0 && c.FinalRelRes < opt.RelResidualTol) {
-				c.Converged = true
-				deflate(slot)
-			}
-		}
-		if act == 0 {
-			break
-		}
-
-		// One block application serves every surviving column:
-		// M r̂_j = r_j.
-		precond.ApplyBlock(m, &ws.rhatv, &ws.rv)
-		st.BlockPrecondApps++
-		vec.ParMultiDot(&ws.rhatv, &ws.rv, w, ws.pkp[:act]) // pkp doubles as ρ' scratch
-		st.InnerProducts += act
-		for slot := 0; slot < act; slot++ {
-			c := &ws.cols[ws.perm[slot]]
-			c.PrecondApps++
-			c.InnerProducts++
-		}
-		for slot := act - 1; slot >= 0; slot-- {
-			j := ws.perm[slot]
-			switch {
-			case ws.pkp[slot] < 0:
-				ws.errs[j] = ErrBreakdownPrecond
-				deflate(slot)
-			case ws.pkp[slot] == 0:
-				// (M⁻¹r, r) = 0 with SPD M means r = 0: exact convergence.
-				ws.cols[j].Converged = true
-				deflate(slot)
-			}
-		}
-		if act == 0 {
-			break
-		}
-
-		for slot := 0; slot < act; slot++ {
-			ws.beta[slot] = ws.pkp[slot] / ws.rho[slot]
-			ws.rho[slot] = ws.pkp[slot]
-		}
-		// p_j = r̂_j + β_j p_j, fused across the block.
-		vec.ParMultiXpay(&ws.rhatv, ws.beta[:act], &ws.pv, w)
-	}
-
-	// Columns still active at exit ran out of iterations — or the context
-	// was canceled; either way they surface through the hook exactly like
-	// deflated ones, so every column fires OnColumnDone once per solve.
-	exitErr := ErrMaxIterations
-	if stopErr != nil {
-		exitErr = stopErr
-	}
-	for slot := 0; slot < act; slot++ {
-		j := ws.perm[slot]
-		ws.errs[j] = exitErr
-		if opt.OnColumnDone != nil {
-			opt.OnColumnDone(j, ColumnStats{Stats: ws.cols[j], Err: exitErr})
-		}
+	if opt.Observer != nil {
+		ws.col.obs = opt.Observer
+		copt.Observer = &ws.col
 	}
 	st.Converged = true
-	for j := range ws.cols {
-		if !ws.cols[j].Converged {
-			st.Converged = false
-			break
-		}
-	}
 	var errs []error
-	for j, e := range ws.errs {
-		if e != nil {
-			errs = append(errs, fmt.Errorf("cg: rhs %d: %w", j, e))
+	for j := 0; j < f.S; j++ {
+		var cs Stats
+		var err error
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			cs, err = Stats{TrueRelRes: -1}, opt.Ctx.Err()
+			vec.Zero(u.Col(j))
+		} else {
+			ws.col.j = j
+			cs, err = SolveInto(u.Col(j), k, f.Col(j), m, copt, &ws.scalar)
+			// The coefficients alias the scalar scratch the next column
+			// reuses; block solves do not report them.
+			cs.CGAlphas, cs.CGBetas = nil, nil
+		}
+		ws.cols[j], ws.errs[j] = cs, err
+		st.Iterations = max(st.Iterations, cs.Iterations)
+		st.SpMMs += cs.MatVecs
+		st.BlockPrecondApps += cs.PrecondApps
+		st.InnerProducts += cs.InnerProducts
+		st.Converged = st.Converged && cs.Converged
+		if err != nil {
+			errs = append(errs, fmt.Errorf("cg: rhs %d: %w", j, err))
+		}
+		if opt.OnColumnDone != nil {
+			opt.OnColumnDone(j, ColumnStats{Stats: cs, Err: err})
 		}
 	}
 	return st, errors.Join(errs...)

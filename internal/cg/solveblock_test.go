@@ -1,9 +1,11 @@
 package cg
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -33,53 +35,213 @@ func blockFixture(t *testing.T, s int) (*sparse.CSR, *vec.Multi, precond.Precond
 	return k, f, p
 }
 
-// TestSolveBlockMatchesSolveInto: every column of a block solve must agree
-// with an independent scalar solve of the same column within 1e-10 (they
-// are in fact designed to match exactly; the tolerance is the acceptance
-// criterion's bound).
-func TestSolveBlockMatchesSolveInto(t *testing.T) {
-	const s = 6
-	k, f, p := blockFixture(t, s)
-	opt := Options{Tol: 1e-9, MaxIter: 5000}
+// observerFunc adapts a function to Observer.
+type observerFunc func(col, iter int, udiff, relres float64)
 
-	u, st, err := SolveBlock(k, f, p, opt)
-	if err != nil {
-		t.Fatalf("block solve: %v", err)
+func (f observerFunc) ObserveIteration(col, iter int, udiff, relres float64) {
+	f(col, iter, udiff, relres)
+}
+
+// scalarRef solves every column of f on its own with SolveInto — the
+// reference both block bodies must reproduce bit for bit. The recurrence
+// coefficients are dropped, as block solves do not record them.
+func scalarRef(t *testing.T, k sparse.Operator, f *vec.Multi, p precond.Preconditioner, opt Options) (*vec.Multi, []Stats, []error) {
+	t.Helper()
+	n, _ := k.Dims()
+	u := vec.NewMulti(n, f.S)
+	sts, errs := make([]Stats, f.S), make([]error, f.S)
+	sopt := Options{Tol: opt.Tol, RelResidualTol: opt.RelResidualTol, MaxIter: opt.MaxIter, Workers: opt.Workers}
+	ws := NewWorkspace(n)
+	for j := range sts {
+		sts[j], errs[j] = SolveInto(u.Col(j), k, f.Col(j), p, sopt, ws)
+		sts[j].CGAlphas, sts[j].CGBetas = nil, nil
 	}
-	if !st.Converged || st.RHS != s {
-		t.Fatalf("block stats: converged=%v rhs=%d", st.Converged, st.RHS)
+	return u, sts, errs
+}
+
+// assertMatchesScalar checks a block solve against scalarRef: iterates and
+// per-column Stats bit for bit. The panel body starts from r⁰ = f without
+// SolveInto's initial product K·u⁰, so it counts one MatVec fewer.
+func assertMatchesScalar(t *testing.T, name string, u *vec.Multi, st BlockStats, refU *vec.Multi, ref []Stats) {
+	t.Helper()
+	for i := range refU.Data {
+		if u.Data[i] != refU.Data[i] {
+			t.Fatalf("%s: iterate flat %d differs from SolveInto: %g vs %g", name, i, u.Data[i], refU.Data[i])
+		}
 	}
-	for j := 0; j < s; j++ {
-		want := make([]float64, k.Rows)
-		wst, err := SolveInto(want, k, f.Col(j), p, opt, nil)
-		if err != nil {
-			t.Fatalf("scalar solve col %d: %v", j, err)
+	for j, want := range ref {
+		if st.Interleaved {
+			want.MatVecs--
 		}
-		var maxd float64
-		for i := range want {
-			if d := math.Abs(u.Col(j)[i] - want[i]); d > maxd {
-				maxd = d
-			}
-		}
-		if maxd > 1e-10 {
-			t.Fatalf("col %d differs from SolveInto by %g (> 1e-10)", j, maxd)
-		}
-		if st.Cols[j].Iterations != wst.Iterations {
-			t.Fatalf("col %d iterations %d != scalar %d", j, st.Cols[j].Iterations, wst.Iterations)
-		}
-		if !st.Cols[j].Converged {
-			t.Fatalf("col %d not converged", j)
+		if got := st.Cols[j]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: col %d stats differ from SolveInto:\n got %+v\nwant %+v", name, j, got, want)
 		}
 	}
 }
 
-// TestSolveBlockOneSpMMPerIteration: the acceptance criterion — Stats
-// counts exactly one SpMM per outer iteration, regardless of batch width.
-func TestSolveBlockOneSpMMPerIteration(t *testing.T) {
-	k, f, p := blockFixture(t, 8)
-	st, err := solveBlockFresh(k, f, p, Options{Tol: 1e-8, MaxIter: 5000})
+// parityFixture returns the 7×6 plate with an s-column random block and
+// the named m = 3 preconditioner: "multicolor" is the paper's 6-color SSOR
+// at ω = 1, the one splitting that serves interleaved panels; "jacobi",
+// "natural" (natural-order SSOR) and "multicolor-1.5" (ω = 1.5) cannot, so
+// their block solves always run column by column. "poisson-jacobi" is
+// blockFixture.
+func parityFixture(t *testing.T, pc string, s int) (*sparse.CSR, *vec.Multi, precond.Preconditioner) {
+	t.Helper()
+	if pc == "poisson-jacobi" {
+		return blockFixture(t, s)
+	}
+	plate, f := plateBlock(t, s)
+	k, gs := plate.KColored, plate.Ordering.GroupStart[:]
+	var sp splitting.Splitting
+	var err error
+	switch pc {
+	case "multicolor":
+		sp, err = splitting.NewMulticolorSSOR(k, gs, 1)
+	case "multicolor-1.5":
+		sp, err = splitting.NewMulticolorSSOR(k, gs, 1.5)
+	case "jacobi":
+		sp, err = splitting.NewJacobi(k)
+	case "natural":
+		sp, err = splitting.NewNaturalSSOR(k, 1)
+	default:
+		t.Fatalf("unknown preconditioner %q", pc)
+	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	p, err := precond.NewMStep(sp, poly.Ones(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, f, p
+}
+
+// TestSolveBlockMatchesSolveInto is the block-vs-scalar parity table: on
+// both bodies — interleaved panels, and column by column whenever the plan
+// or the preconditioner rules panels out — every column's iterate and Stats
+// equal an independent SolveInto bit for bit, OnColumnDone fires exactly
+// once per column with the final stats, the observer sees tile-local column
+// indices with consecutive iteration numbers, and a cancellation mid-tile
+// reports the context's error on every column still unfinished.
+func TestSolveBlockMatchesSolveInto(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pc         string
+		s          int
+		interleave bool
+		panels     bool // the solve runs the interleaved body
+	}{
+		{"jacobi poisson s=6", "poisson-jacobi", 6, false, false},
+		{"panels s=8", "multicolor", 8, true, true},
+		{"columns s=1", "multicolor", 1, false, false},
+		{"columns s=2", "multicolor", 2, false, false},
+		{"columns s=3", "multicolor", 3, false, false},
+		{"columns s=8", "multicolor", 8, false, false},
+		{"jacobi s=8 falls back", "jacobi", 8, true, false},
+		{"natural ssor s=8 falls back", "natural", 8, true, false},
+		{"multicolor ω=1.5 s=8 falls back", "multicolor-1.5", 8, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, f, p := parityFixture(t, tc.pc, tc.s)
+			n := k.Rows
+			opt := Options{Tol: 1e-9, MaxIter: 5000, Interleave: tc.interleave}
+			refU, ref, _ := scalarRef(t, k, f, p, opt)
+
+			var o countObserver
+			fired := make([]int, tc.s)
+			u := vec.NewMulti(n, tc.s)
+			opt.Observer = &o
+			opt.OnColumnDone = func(col int, cs ColumnStats) {
+				fired[col]++
+				if cs.Err != nil {
+					t.Errorf("col %d: %v", col, cs.Err)
+				}
+				if col < len(ref) && cs.Stats.Iterations != ref[col].Iterations {
+					t.Errorf("col %d: hook iterations %d != SolveInto %d", col, cs.Stats.Iterations, ref[col].Iterations)
+				}
+			}
+			st, err := SolveBlockInto(u, k, f, p, opt, NewBlockWorkspace(n, tc.s))
+			if err != nil {
+				t.Fatalf("block solve: %v", err)
+			}
+			if st.Interleaved != tc.panels {
+				t.Fatalf("Interleaved = %v, want %v", st.Interleaved, tc.panels)
+			}
+			if !st.Converged || st.RHS != tc.s {
+				t.Fatalf("block stats: converged=%v rhs=%d", st.Converged, st.RHS)
+			}
+			assertMatchesScalar(t, tc.name, u, st, refU, ref)
+			total := 0
+			for j := 0; j < tc.s; j++ {
+				if fired[j] != 1 {
+					t.Errorf("col %d: OnColumnDone fired %d times", j, fired[j])
+				}
+				if o.lastIter[j] != st.Cols[j].Iterations {
+					t.Errorf("col %d: observed through iter %d, stats say %d", j, o.lastIter[j], st.Cols[j].Iterations)
+				}
+				total += st.Cols[j].Iterations
+			}
+			if o.calls != total || o.outOfOrder != 0 {
+				t.Errorf("observer: %d calls over %d column-iterations, %d out of order", o.calls, total, o.outOfOrder)
+			}
+
+			// Cancel from the observer at the first sample of column c: on
+			// panels every column is still active then; column by column,
+			// the columns before c have finished, c is mid-solve and the
+			// rest have not started.
+			c := min(1, tc.s-1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opt.Ctx = ctx
+			opt.Observer = observerFunc(func(col, _ int, _, _ float64) {
+				if col == c {
+					cancel()
+				}
+			})
+			hookErrs := make(map[int]error)
+			opt.OnColumnDone = func(col int, cs ColumnStats) {
+				if _, dup := hookErrs[col]; dup {
+					t.Errorf("col %d fired twice after cancel", col)
+				}
+				hookErrs[col] = cs.Err
+			}
+			u.Zero()
+			st, err = SolveBlockInto(u, k, f, p, opt, NewBlockWorkspace(n, tc.s))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled solve returned %v", err)
+			}
+			if len(hookErrs) != tc.s {
+				t.Fatalf("canceled solve fired %d hooks, want %d", len(hookErrs), tc.s)
+			}
+			for j := 0; j < tc.s; j++ {
+				if !tc.panels && j < c {
+					if hookErrs[j] != nil || !st.Cols[j].Converged {
+						t.Errorf("col %d finished before the cancel: err %v", j, hookErrs[j])
+					}
+					continue
+				}
+				if !errors.Is(hookErrs[j], context.Canceled) || !errors.Is(st.ColErrs[j], context.Canceled) {
+					t.Errorf("col %d after cancel: hook err %v, ColErrs %v", j, hookErrs[j], st.ColErrs[j])
+				}
+				if !tc.panels && j > c && (st.Cols[j].Iterations != 0 || vec.NormInf(u.Col(j)) != 0) {
+					t.Errorf("col %d ran after cancel: %d iterations", j, st.Cols[j].Iterations)
+				}
+			}
+		})
+	}
+}
+
+// TestSolveBlockOneSpMMPerIteration: the acceptance criterion — on panels,
+// Stats counts exactly one SpMM per outer iteration, regardless of batch
+// width.
+func TestSolveBlockOneSpMMPerIteration(t *testing.T) {
+	k, f, p := interleavedFixture(t, 8, 3)
+	st, err := solveBlockFresh(k, f, p, Options{Tol: 1e-8, MaxIter: 5000, Interleave: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Interleaved {
+		t.Fatal("panel body did not engage")
 	}
 	if st.SpMMs != st.Iterations {
 		t.Fatalf("SpMMs = %d, Iterations = %d: want exactly one SpMM per iteration", st.SpMMs, st.Iterations)

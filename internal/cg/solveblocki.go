@@ -11,21 +11,20 @@ import (
 	"repro/internal/vec"
 )
 
-// The row-interleaved block solve path. SolveBlockInto delegates here when
-// Options.Interleave is set and both the operator and the preconditioner
-// can serve vec.IMulti panels. The recurrence is the same lockstep block
-// PCG as the column-contiguous path, but the working block lives in
-// interleaved form for the whole solve: the right-hand sides are converted
-// once at entry (the tile-boundary conversion of the planner-tiled
-// executor), every fused kernel reads panel rows as contiguous cache lines,
-// and each column converts back to column-contiguous form exactly once —
-// the moment it leaves the active set. Because every kernel preserves
-// per-column arithmetic order, column j's iterates are bit-identical to the
-// column-contiguous path (and to a scalar SolveInto on column j).
+// The row-interleaved block solve body. SolveBlockInto runs it when
+// Options.Interleave is set and both the operator and the preconditioner can
+// serve vec.IMulti panels. s scalar PCG recurrences advance in lockstep, and
+// the working block lives in interleaved form for the whole solve: the
+// right-hand sides are converted once at entry (the tile-boundary conversion
+// of the planner-tiled executor), every fused kernel reads panel rows as
+// contiguous cache lines, and each column converts back to
+// column-contiguous form exactly once — the moment it leaves the active
+// set. Because every kernel preserves per-column arithmetic order, column
+// j's iterates are bit-identical to a scalar SolveInto on column j.
 
 // ensureInterleaved sizes the interleaved panels for an n×s solve,
 // reallocating only on growth; the panels are allocated lazily so
-// column-contiguous workspaces never pay for them.
+// workspaces that only run columns one by one never pay for them.
 func (w *BlockWorkspace) ensureInterleaved(n, s int) {
 	if w.ri == nil || w.ri.N < n || w.ri.Stride < s {
 		nn, ss := n, s
@@ -67,8 +66,7 @@ func (w *BlockWorkspace) setActiveI(act int) {
 
 // solveBlockInterleaved is the panel-layout body of SolveBlockInto; inputs
 // are already validated and ws.ensure has run. See SolveBlockInto for the
-// recurrence and the deflation/callback contract — every observable
-// (iterates, statistics, hook order) matches the column-contiguous path.
+// recurrence and the deflation/callback contract.
 func solveBlockInterleaved(u *vec.Multi, k sparse.InterleavedOperator, f *vec.Multi, m precond.Preconditioner, opt Options, ws *BlockWorkspace) (BlockStats, error) {
 	n := f.N
 	s := f.S

@@ -2,6 +2,7 @@ package cg
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,15 +15,28 @@ import (
 	"repro/internal/vec"
 )
 
-// interleavedFixture builds a plate system whose preconditioner supports the
-// fused interleaved sweep (6-color SSOR at ω = 1), plus an s-column block of
-// random right-hand sides.
-func interleavedFixture(t *testing.T, s, m int) (*sparse.CSR, *vec.Multi, precond.Preconditioner) {
+// plateBlock builds the 7×6 plate system in the 6-color ordering plus an
+// s-column block of random right-hand sides.
+func plateBlock(t *testing.T, s int) (*fem.Plate, *vec.Multi) {
 	t.Helper()
 	plate, err := fem.NewPlate(7, 6, fem.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(31))
+	f := vec.NewMulti(plate.KColored.Rows, s)
+	for i := range f.Data {
+		f.Data[i] = rng.NormFloat64()
+	}
+	return plate, f
+}
+
+// interleavedFixture builds a plate system whose preconditioner supports the
+// fused interleaved sweep (6-color SSOR at ω = 1), plus an s-column block of
+// random right-hand sides.
+func interleavedFixture(t *testing.T, s, m int) (*sparse.CSR, *vec.Multi, precond.Preconditioner) {
+	t.Helper()
+	plate, f := plateBlock(t, s)
 	k := plate.KColored
 	mc, err := splitting.NewSixColorSSOR(k, plate.Ordering.GroupStart[:])
 	if err != nil {
@@ -35,77 +49,63 @@ func interleavedFixture(t *testing.T, s, m int) (*sparse.CSR, *vec.Multi, precon
 			t.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(31))
-	f := vec.NewMulti(k.Rows, s)
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
 	return k, f, p
 }
 
-// runBoth solves the same block twice — column-contiguous and interleaved —
-// and returns both iterates and stats.
-func runBoth(t *testing.T, k sparse.Operator, f *vec.Multi, p precond.Preconditioner, opt Options) (ucol, uint *vec.Multi, stCol, stInt BlockStats) {
+// solveInterleaved runs one interleaved block solve on a fresh workspace.
+func solveInterleaved(t *testing.T, k sparse.Operator, f *vec.Multi, p precond.Preconditioner, opt Options) (*vec.Multi, BlockStats, error) {
 	t.Helper()
 	n, _ := k.Dims()
-	ucol, uint = vec.NewMulti(n, f.S), vec.NewMulti(n, f.S)
-	optCol, optInt := opt, opt
-	optCol.Interleave = false
-	optInt.Interleave = true
-	var err error
-	stCol, err = SolveBlockInto(ucol, k, f, p, optCol, NewBlockWorkspace(n, f.S))
-	if err != nil {
-		t.Fatalf("column path: %v", err)
+	u := vec.NewMulti(n, f.S)
+	opt.Interleave = true
+	st, err := SolveBlockInto(u, k, f, p, opt, NewBlockWorkspace(n, f.S))
+	if !st.Interleaved {
+		t.Fatal("interleaved path did not engage")
 	}
-	stInt, err = SolveBlockInto(uint, k, f, p, optInt, NewBlockWorkspace(n, f.S))
-	if err != nil {
-		t.Fatalf("interleaved path: %v", err)
-	}
-	return ucol, uint, stCol, stInt
+	return u, st, err
 }
 
 // TestInterleavedMatchesColumnBitwise is the central parity test: the
-// interleaved panel path must reproduce the column-contiguous block solve
+// interleaved panel path must reproduce a scalar SolveInto on every column
 // bit for bit — iterates, iteration counts, per-column stats.
 func TestInterleavedMatchesColumnBitwise(t *testing.T) {
 	for _, m := range []int{0, 3} {
 		for _, s := range []int{4, 8} {
 			k, f, p := interleavedFixture(t, s, m)
-			ucol, uint, stCol, stInt := runBoth(t, k, f, p, Options{Tol: 1e-9, MaxIter: 5000})
-			if stInt.Interleaved != true || stCol.Interleaved != false {
-				t.Fatalf("m=%d s=%d: Interleaved flags %v/%v", m, s, stCol.Interleaved, stInt.Interleaved)
+			opt := Options{Tol: 1e-9, MaxIter: 5000}
+			refU, ref, _ := scalarRef(t, k, f, p, opt)
+			u, st, err := solveInterleaved(t, k, f, p, opt)
+			if err != nil {
+				t.Fatalf("m=%d s=%d: %v", m, s, err)
 			}
-			if stInt.Kernel == "" {
+			if st.Kernel == "" {
 				t.Fatalf("m=%d s=%d: interleaved stats carry no kernel name", m, s)
 			}
-			if stCol.Iterations != stInt.Iterations || stCol.SpMMs != stInt.SpMMs ||
-				stCol.InnerProducts != stInt.InnerProducts || stCol.BlockPrecondApps != stInt.BlockPrecondApps {
-				t.Fatalf("m=%d s=%d: counters differ: %+v vs %+v", m, s, stCol, stInt)
+			iters, inner := 0, 0
+			for _, c := range ref {
+				iters = max(iters, c.Iterations)
+				inner += c.InnerProducts
 			}
-			for i := range ucol.Data {
-				if ucol.Data[i] != uint.Data[i] {
-					t.Fatalf("m=%d s=%d: iterate flat %d differs: %g vs %g", m, s, i, ucol.Data[i], uint.Data[i])
-				}
+			if st.Iterations != iters || st.InnerProducts != inner {
+				t.Fatalf("m=%d s=%d: counters %+v vs SolveInto max iterations %d, inner products %d", m, s, st, iters, inner)
 			}
-			for j := 0; j < s; j++ {
-				c, ic := stCol.Cols[j], stInt.Cols[j]
-				if c.Iterations != ic.Iterations || c.Converged != ic.Converged ||
-					c.FinalUDiff != ic.FinalUDiff || c.FinalRelRes != ic.FinalRelRes ||
-					c.InnerProducts != ic.InnerProducts || c.PrecondApps != ic.PrecondApps || c.MatVecs != ic.MatVecs {
-					t.Fatalf("m=%d s=%d col %d stats differ: %+v vs %+v", m, s, j, c, ic)
-				}
-			}
+			assertMatchesScalar(t, fmt.Sprintf("m=%d s=%d", m, s), u, st, refU, ref)
 		}
 	}
 }
 
 // TestInterleavedParallelMatchesColumn: the fan-out path uses the same row
-// chunking on both layouts, so parity holds at workers > 1 too.
+// chunking as the scalar kernels, so parity holds at workers > 1 too.
 func TestInterleavedParallelMatchesColumn(t *testing.T) {
 	k, f, p := interleavedFixture(t, 8, 2)
-	ucol, uint, _, _ := runBoth(t, k, f, p, Options{Tol: 1e-9, MaxIter: 5000, Workers: 4})
-	for i := range ucol.Data {
-		if ucol.Data[i] != uint.Data[i] {
+	opt := Options{Tol: 1e-9, MaxIter: 5000, Workers: 4}
+	refU, _, _ := scalarRef(t, k, f, p, opt)
+	u, _, err := solveInterleaved(t, k, f, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range refU.Data {
+		if u.Data[i] != refU.Data[i] {
 			t.Fatalf("workers=4: iterate flat %d differs", i)
 		}
 	}
@@ -123,68 +123,55 @@ func TestInterleavedDeflationParity(t *testing.T) {
 			col[i] *= scale[j]
 		}
 	}
-	var orderCol, orderInt []int
+	opt := Options{Tol: 1e-9, MaxIter: 5000}
+	refU, ref, _ := scalarRef(t, k, f, p, opt)
+	var order []int
 	n, _ := k.Dims()
-	ucol, uint := vec.NewMulti(n, f.S), vec.NewMulti(n, f.S)
-	optCol := Options{Tol: 1e-9, MaxIter: 5000,
-		OnColumnDone: func(col int, cs ColumnStats) { orderCol = append(orderCol, col) }}
-	optInt := optCol
-	optInt.Interleave = true
-	optInt.OnColumnDone = func(col int, cs ColumnStats) {
-		orderInt = append(orderInt, col)
+	var u *vec.Multi
+	opt.OnColumnDone = func(col int, cs ColumnStats) {
+		order = append(order, col)
 		// the column's slice of the iterate block must be final here
-		if got := uint.Col(col); len(got) != n {
+		if got := u.Col(col); len(got) != n {
 			t.Errorf("col %d: bad iterate slice", col)
 		}
 	}
-	stCol, err := SolveBlockInto(ucol, k, f, p, optCol, NewBlockWorkspace(n, f.S))
+	u = vec.NewMulti(n, f.S)
+	opt.Interleave = true
+	st, err := SolveBlockInto(u, k, f, p, opt, NewBlockWorkspace(n, f.S))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stInt, err := SolveBlockInto(uint, k, f, p, optInt, NewBlockWorkspace(n, f.S))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stInt.Interleaved {
+	if !st.Interleaved {
 		t.Fatal("interleaved path did not engage")
 	}
-	if len(orderCol) != f.S || len(orderInt) != f.S {
-		t.Fatalf("hook counts %d/%d != %d", len(orderCol), len(orderInt), f.S)
+	if len(order) != f.S {
+		t.Fatalf("hook count %d != %d", len(order), f.S)
 	}
-	for i := range orderCol {
-		if orderCol[i] != orderInt[i] {
-			t.Fatalf("deflation order differs: %v vs %v", orderCol, orderInt)
+	// Columns deflate in convergence order: the iteration counts SolveInto
+	// needs never decrease along the hook order.
+	for i := 1; i < len(order); i++ {
+		if ref[order[i]].Iterations < ref[order[i-1]].Iterations {
+			t.Fatalf("deflation order %v does not follow convergence", order)
 		}
 	}
-	for i := range ucol.Data {
-		if ucol.Data[i] != uint.Data[i] {
-			t.Fatalf("iterate flat %d differs", i)
-		}
-	}
-	if !stCol.Cols[3].Converged || stCol.Cols[3].Iterations != 0 || stInt.Cols[3].Iterations != 0 {
-		t.Fatalf("zero column did not deflate instantly: %+v vs %+v", stCol.Cols[3], stInt.Cols[3])
+	assertMatchesScalar(t, "staggered", u, st, refU, ref)
+	if !st.Cols[3].Converged || st.Cols[3].Iterations != 0 {
+		t.Fatalf("zero column did not deflate instantly: %+v", st.Cols[3])
 	}
 }
 
 // TestInterleavedMaxIterParity: columns that run out of iterations surface
-// ErrMaxIterations identically on both layouts.
+// ErrMaxIterations exactly as SolveInto does, with the same partial iterate.
 func TestInterleavedMaxIterParity(t *testing.T) {
 	k, f, p := interleavedFixture(t, 4, 1)
-	n, _ := k.Dims()
 	opt := Options{Tol: 1e-14, MaxIter: 3}
-	ucol := vec.NewMulti(n, f.S)
-	_, errCol := SolveBlockInto(ucol, k, f, p, opt, NewBlockWorkspace(n, f.S))
-	opt.Interleave = true
-	uint := vec.NewMulti(n, f.S)
-	stInt, errInt := SolveBlockInto(uint, k, f, p, opt, NewBlockWorkspace(n, f.S))
-	if !errors.Is(errCol, ErrMaxIterations) || !errors.Is(errInt, ErrMaxIterations) {
-		t.Fatalf("errors: %v vs %v", errCol, errInt)
+	refU, _, refErrs := scalarRef(t, k, f, p, opt)
+	u, _, errInt := solveInterleaved(t, k, f, p, opt)
+	if !errors.Is(refErrs[0], ErrMaxIterations) || !errors.Is(errInt, ErrMaxIterations) {
+		t.Fatalf("errors: %v vs %v", refErrs[0], errInt)
 	}
-	if !stInt.Interleaved {
-		t.Fatal("interleaved path did not engage")
-	}
-	for i := range ucol.Data {
-		if ucol.Data[i] != uint.Data[i] {
+	for i := range refU.Data {
+		if u.Data[i] != refU.Data[i] {
 			t.Fatalf("partial iterate flat %d differs", i)
 		}
 	}
@@ -213,7 +200,7 @@ func TestInterleavedBreakdownParity(t *testing.T) {
 }
 
 // TestInterleavedFallback: a preconditioner without the fused interleaved
-// sweep (Jacobi m-step) keeps the column-contiguous path even when
+// sweep (Jacobi m-step) runs its columns one by one even when
 // Options.Interleave is set — and the solve still succeeds.
 func TestInterleavedFallback(t *testing.T) {
 	k, f, p := blockFixture(t, 4) // Jacobi m-step: no interleaved sweep

@@ -170,38 +170,6 @@ func TestBackendsAgreeOnRandomBandedMulticolor(t *testing.T) {
 	}
 }
 
-func TestBatchBackendsAgree(t *testing.T) {
-	sys, _ := plateSystem(t, 8, 8)
-	fs := make([][]float64, 4)
-	for j := range fs {
-		fs[j] = make([]float64, len(sys.F))
-		for i, v := range sys.F {
-			fs[j][i] = float64(j+1) * v
-		}
-	}
-	cfg := Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-10, MaxIter: 20000}
-	cfg.Backend = BackendCSR
-	csr, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Backend = BackendDIA
-	dia, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range csr {
-		if csr[j].Backend != "csr" || dia[j].Backend != "dia" {
-			t.Fatalf("rhs %d: backends reported %q/%q", j, csr[j].Backend, dia[j].Backend)
-		}
-		for i := range csr[j].U {
-			if diff := math.Abs(csr[j].U[i] - dia[j].U[i]); diff > 1e-8*(1+math.Abs(csr[j].U[i])) {
-				t.Fatalf("rhs %d: solutions deviate at %d", j, i)
-			}
-		}
-	}
-}
-
 func TestSolveReportsAutoBackend(t *testing.T) {
 	sys, _ := plateSystem(t, 8, 8)
 	res, err := Solve(sys, Config{M: 2, Tol: 1e-8, MaxIter: 10000})

@@ -4,91 +4,75 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kernel"
+	"repro/internal/cg"
+	"repro/internal/plan"
+	"repro/internal/vec"
 )
 
-func batchRHS(sys System, s int) [][]float64 {
-	fs := make([][]float64, s)
-	for j := range fs {
-		fs[j] = make([]float64, len(sys.F))
-		for i, v := range sys.F {
-			fs[j][i] = float64(j+1) * v
-		}
-	}
-	return fs
-}
-
-// TestSolveRejectsUnknownKernel: both entry points validate the kernel
-// policy before doing any work.
+// TestSolveRejectsUnknownKernel: Solve validates the kernel policy before
+// doing any work.
 func TestSolveRejectsUnknownKernel(t *testing.T) {
 	sys, _ := plateSystem(t, 6, 6)
 	cfg := Config{M: 2, Splitting: SSORMulticolor, Kernel: "fast"}
 	if _, err := Solve(sys, cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
 		t.Fatalf("Solve: want kernel-policy error, got %v", err)
 	}
-	if _, err := SolveBatch(sys, batchRHS(sys, 2), cfg); err == nil || !strings.Contains(err.Error(), "kernel policy") {
-		t.Fatalf("SolveBatch: want kernel-policy error, got %v", err)
-	}
 }
 
-// TestSolveBatchReportsInterleaved: a wide batch over the multicolor SSOR
-// preconditioner runs the row-interleaved panel layout and says so, while a
-// scalar solve stays columnar and reports the startup kernel set.
-func TestSolveBatchReportsInterleaved(t *testing.T) {
-	sys, _ := plateSystem(t, 8, 8)
-	cfg := Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-8, MaxIter: 10000}
-	out, err := SolveBatch(sys, batchRHS(sys, 8), cfg)
+// solveBatch plans an s-wide batch of scaled copies of sys.F the way
+// Config selects, and runs it as one block solve over the preconditioner
+// and operator the config builds.
+func solveBatch(t *testing.T, sys System, s int, cfg Config) (*vec.Multi, cg.BlockStats, string) {
+	t.Helper()
+	p, _, _, err := BuildPreconditioner(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, r := range out {
-		if !r.Interleaved {
-			t.Fatalf("rhs %d: wide batch did not interleave", j)
-		}
-		if r.Kernel != kernel.Active().Name {
-			t.Fatalf("rhs %d: kernel %q, want %q", j, r.Kernel, kernel.Active().Name)
-		}
+	pl := cfg.planner().Plan(plan.Inputs{K: sys.K, Policy: cfg.Backend, RHS: s, M: cfg.M, Kernel: cfg.Kernel})
+	if !pl.Interleave || len(pl.Tiles) != 1 {
+		t.Fatalf("%d-wide batch planned as %d tiles, interleave=%v", s, len(pl.Tiles), pl.Interleave)
 	}
-	res, err := Solve(sys, cfg)
+	op, _, err := operatorFor(sys.K, pl.Backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Interleaved {
-		t.Fatal("scalar solve claims the interleaved layout")
+	f := vec.NewMulti(len(sys.F), s)
+	for j := 0; j < s; j++ {
+		for i, v := range sys.F {
+			f.Col(j)[i] = float64(j+1) * v
+		}
 	}
-	if res.Kernel != kernel.Active().Name {
-		t.Fatalf("scalar solve kernel %q, want %q", res.Kernel, kernel.Active().Name)
+	u := vec.NewMulti(len(sys.F), s)
+	st, err := cg.SolveBlockInto(u, op, f, p, cg.Options{
+		Tol: cfg.Tol, MaxIter: cfg.MaxIter, Interleave: pl.Interleave, Kernel: pl.Kernel,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return u, st, pl.Kernel
 }
 
-// TestSolveBatchPortableMatchesAuto: forcing the portable kernel set changes
-// nothing observable — iterates bit-identical, iteration counts equal — and
-// the results carry the set's name.
+// TestSolveBatchPortableMatchesAuto: forcing the portable kernel set on a
+// planned batch changes nothing observable — iterates bit-identical,
+// iteration counts equal — and the plan and stats carry the set's name.
 func TestSolveBatchPortableMatchesAuto(t *testing.T) {
 	sys, _ := plateSystem(t, 8, 8)
-	fs := batchRHS(sys, 8)
 	cfg := Config{M: 2, Splitting: SSORMulticolor, Tol: 1e-10, MaxIter: 20000}
-	auto, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	auto, autoSt, _ := solveBatch(t, sys, 8, cfg)
 	cfg.Kernel = "portable"
-	port, err := SolveBatch(sys, fs, cfg)
-	if err != nil {
-		t.Fatal(err)
+	port, portSt, name := solveBatch(t, sys, 8, cfg)
+	if name != "portable" || portSt.Kernel != "portable" {
+		t.Fatalf("portable batch: plan kernel %q, stats kernel %q", name, portSt.Kernel)
 	}
-	for j := range auto {
-		if port[j].Kernel != "portable" {
-			t.Fatalf("rhs %d: portable solve reports kernel %q", j, port[j].Kernel)
-		}
-		if auto[j].Stats.Iterations != port[j].Stats.Iterations {
+	for j := 0; j < auto.S; j++ {
+		if autoSt.Cols[j].Iterations != portSt.Cols[j].Iterations {
 			t.Fatalf("rhs %d: iterations differ across kernel sets: %d vs %d",
-				j, auto[j].Stats.Iterations, port[j].Stats.Iterations)
+				j, autoSt.Cols[j].Iterations, portSt.Cols[j].Iterations)
 		}
-		for i := range auto[j].U {
-			if auto[j].U[i] != port[j].U[i] {
-				t.Fatalf("rhs %d: iterates differ at %d across kernel sets", j, i)
-			}
+	}
+	for i := range auto.Data {
+		if auto.Data[i] != port.Data[i] {
+			t.Fatalf("iterates differ at flat %d across kernel sets", i)
 		}
 	}
 }

@@ -59,6 +59,40 @@ func TestEngineBackendSelectionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEngineBatchBackendsAgree: a multi-case plate batch solved on the CSR
+// and on the DIA backend reports each backend and agrees case by case to
+// rounding.
+func TestEngineBatchBackendsAgree(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	solve := func(backend string) *JobResult {
+		req := Request{
+			Plate:  &PlateSpec{Rows: 8, Cols: 8, Tractions: []float64{1, 2, 3, 4}},
+			Solver: SolverSpec{M: 2, Tol: 1e-10, MaxIter: 20000, Backend: backend},
+		}
+		v, err := s.Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != JobDone || v.Result.Backend != backend || len(v.Result.Cases) != 4 {
+			t.Fatalf("%s batch: state=%s backend=%q cases=%d", backend, v.State, v.Result.Backend, len(v.Result.Cases))
+		}
+		return v.Result
+	}
+	csr, dia := solve("csr"), solve("dia")
+	for j := range csr.Cases {
+		cu, du := csr.Cases[j].U, dia.Cases[j].U
+		if len(cu) == 0 || len(cu) != len(du) {
+			t.Fatalf("case %d: solution lengths %d/%d", j, len(cu), len(du))
+		}
+		for i := range cu {
+			if diff := math.Abs(cu[i] - du[i]); diff > 1e-8*(1+math.Abs(cu[i])) {
+				t.Fatalf("case %d: solutions deviate at %d: %g vs %g", j, i, cu[i], du[i])
+			}
+		}
+	}
+}
+
 func TestEngineAutoPicksCSROnScatteredSystem(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

@@ -1154,9 +1154,10 @@ func recordSubSpans(tr *obs.Trace, ci int, start time.Time, subs []decomp.SubSta
 // runTiles is the batched solve path: the plan's column tiles execute as
 // sequential block solves sharing one workspace, and every column
 // retirement — converged, broken down, or canceled — emits that case's
-// result immediately via the deflation hook, so early-converging load
-// cases are visible to stream subscribers while the slowest column is
-// still iterating. op is the backend-resolved form of the system matrix.
+// result immediately via the column-done hook, so on panels
+// early-converging load cases are visible to stream subscribers while the
+// slowest column is still iterating. op is the backend-resolved form of
+// the system matrix.
 func (s *Engine) runTiles(job *Job, op sparse.Operator, plate *fem.Plate, pc precond.Preconditioner, fs [][]float64, pl plan.Plan, opts cg.Options, bws *cg.BlockWorkspace, workerID int) (*JobResult, error) {
 	n, _ := op.Dims()
 	res := &JobResult{RHS: len(fs), Converged: true}

@@ -43,8 +43,11 @@ type PlanInfo struct {
 	// Kernel names the kernel set the solve's fused loops ran through
 	// ("portable", "avx2", "neon").
 	Kernel string `json:"kernel,omitempty"`
-	// Interleave reports that the tiles ran on the row-interleaved panel
-	// layout.
+	// Interleave reports that the tiles were planned onto the
+	// row-interleaved panel layout; they run on it when the preconditioner
+	// can serve panels too (the tile trace spans' "interleaved" attribute
+	// records what ran). False on a multi-column tile means the tile runs
+	// column by column through the scalar recurrence.
 	Interleave bool `json:"interleave,omitempty"`
 	// Tuning is the resolved feedback policy the plan was made under
 	// ("off", "observe" or "adapt").
@@ -133,10 +136,11 @@ type JobResult struct {
 
 	// RHS is the number of right-hand sides solved; Cases holds the
 	// per-RHS outcomes for batched requests (len(Cases) == RHS when > 1).
-	// For batches the top-level counters describe the shared block solves:
+	// For batches the top-level counters describe the block solves:
 	// Iterations is the block iteration count summed over the plan's
-	// tiles, MatVecs the SpMM count (one per tile iteration), PrecondApps
-	// the block sweeps.
+	// tiles, MatVecs the matrix products (one SpMM per panel iteration, or
+	// the scalar products of tiles run column by column), PrecondApps the
+	// preconditioner applications counted the same way.
 	RHS   int          `json:"rhs,omitempty"`
 	Cases []CaseResult `json:"cases,omitempty"`
 }

@@ -22,8 +22,8 @@ func TestEngineUnknownKernelRejected(t *testing.T) {
 
 // TestEnginePlanReportsKernel: the job's recorded plan carries the kernel
 // set and layout decision; a wide plate batch interleaves, and forcing the
-// portable set round-trips into the plan. Case-insensitive like the rest of
-// the spec fields.
+// portable set round-trips into the plan (case-insensitive like the rest of
+// the spec fields) without changing a bit of the solution.
 func TestEnginePlanReportsKernel(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -52,6 +52,19 @@ func TestEnginePlanReportsKernel(t *testing.T) {
 	}
 	if v2.Result.Plan.Kernel != kernel.Active().Name {
 		t.Fatalf("auto plan kernel %q, want %q", v2.Result.Plan.Kernel, kernel.Active().Name)
+	}
+	// Forcing the portable set changes nothing observable: every case's
+	// iterate is bit-identical and its iteration count equal.
+	for j, c := range v.Result.Cases {
+		a := v2.Result.Cases[j]
+		if c.Iterations != a.Iterations || len(c.U) != len(a.U) || len(c.U) == 0 {
+			t.Fatalf("case %d: portable %d iterations / %d unknowns, auto %d / %d", j, c.Iterations, len(c.U), a.Iterations, len(a.U))
+		}
+		for i := range c.U {
+			if c.U[i] != a.U[i] {
+				t.Fatalf("case %d: iterates differ at %d across kernel sets", j, i)
+			}
+		}
 	}
 	// The kernel policy is an execution knob, not an identity: both solves
 	// must have shared one cache entry.

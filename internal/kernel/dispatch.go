@@ -75,7 +75,7 @@ type Impl struct {
 	// SweepCSRI runs the full m-step Conrad–Wallach multicolor sweep over
 	// interleaved panels rhat, r with cache panel y (each n rows, stride
 	// st, s live columns; rhat and y are zeroed on entry). Column j
-	// reproduces the column-contiguous sweep on column j exactly.
+	// reproduces the scalar sweep on column j exactly.
 	SweepCSRI func(a *SweepArgs, rhat, r, y []float64, st, n, s int)
 }
 

@@ -2,19 +2,19 @@
 // funnels through: SpMV/SpMM, the fused multi-dot / axpy / xpay family, the
 // Conrad–Wallach multicolor m-step sweep, and the layout conversions between
 // the column-contiguous vec.Multi block and the row-interleaved panel the
-// block kernels prefer.
+// block kernels run on.
 //
 // # Interleaved panels
 //
 // A row-interleaved panel stores an n×s multivector with the s column values
 // of each row adjacent: element (i, j) lives at Data[i*stride+j] with
 // j < s ≤ stride. Where the column-contiguous layout makes every per-column
-// view a zero-copy slice (what the preconditioner sweeps, deflation swaps
-// and solution export want), the interleaved layout makes every per-row view
-// contiguous — one gathered CSR row index feeds all s columns from a single
-// cache line (s = 8 float64s is exactly one 64-byte line), which is what the
-// SpMM and sweep gather loops want. The planner-tiled executor converts at
-// tile boundaries, so both layouts are used where each wins.
+// view a zero-copy slice (what solution export and the one-column-at-a-time
+// solves want), the interleaved layout makes every per-row view contiguous
+// — one gathered CSR row index feeds all s columns from a single cache line
+// (s = 8 float64s is exactly one 64-byte line), which is what the SpMM and
+// sweep gather loops want. A block solve converts its tile into panels once
+// at entry and scatters each column back as it finishes.
 //
 // # Dispatch
 //

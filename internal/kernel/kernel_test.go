@@ -290,6 +290,68 @@ func randCSR(rng *rand.Rand, n, nnzPerRow int) (rowptr, colidx []int, val []floa
 	return rowptr, colidx, val
 }
 
+// refSpMMCols is the single-vector reference for the SpMM kernels: each
+// column of a column-contiguous block (column j at xcols[j*n:(j+1)*n]) is
+// multiplied the way CSR.MulVecTo does it, one left-to-right sum per row.
+func refSpMMCols(rowptr, colidx []int, val, xcols []float64, n, s int) []float64 {
+	ref := make([]float64, n*s)
+	for j := 0; j < s; j++ {
+		x := xcols[j*n : (j+1)*n]
+		for i := 0; i < n; i++ {
+			var sum float64
+			for k := rowptr[i]; k < rowptr[i+1]; k++ {
+				sum += val[k] * x[colidx[k]]
+			}
+			ref[j*n+i] = sum
+		}
+	}
+	return ref
+}
+
+// refSweepCols is the single-vector reference for the sweep kernels: the
+// scalar Conrad–Wallach m-step sweep of splitting.SixColorSSOR.ApplyMStep,
+// block sums accumulated as Σ then negated, run on each column of a
+// column-contiguous block in turn.
+func refSweepCols(a *SweepArgs, rcols []float64, n, s int) []float64 {
+	out := make([]float64, n*s)
+	y := make([]float64, n)
+	m, ng := len(a.Alphas), len(a.Start)-1
+	for j := 0; j < s; j++ {
+		rhat, r := out[j*n:(j+1)*n], rcols[j*n:(j+1)*n]
+		clear(y)
+		for step := 1; step <= m; step++ {
+			alpha := a.Alphas[m-step]
+			for c := 0; c < ng; c++ {
+				lo, hi := a.Start[c], a.Start[c+1]
+				for i := lo; i < hi; i++ {
+					var sum float64
+					for p := a.RowPtr[i]; p < a.RowPtr[i+1] && a.ColIdx[p] < lo; p++ {
+						sum += a.Val[p] * rhat[a.ColIdx[p]]
+					}
+					rhat[i] = (-sum + y[i] + alpha*r[i]) / a.Diag[i]
+					if c < ng-1 {
+						y[i] = -sum
+					}
+				}
+			}
+			for c := ng - 2; c >= 0; c-- {
+				lo, hi := a.Start[c], a.Start[c+1]
+				for i := lo; i < hi; i++ {
+					var sum float64
+					for p := a.RowPtr[i+1] - 1; p >= a.RowPtr[i] && a.ColIdx[p] >= hi; p-- {
+						sum += a.Val[p] * rhat[a.ColIdx[p]]
+					}
+					if c > 0 || step == m {
+						rhat[i] = (-sum + y[i] + alpha*r[i]) / a.Diag[i]
+					}
+					y[i] = -sum
+				}
+			}
+		}
+	}
+	return out
+}
+
 func TestSpMMCSRIAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range testN {
@@ -300,10 +362,7 @@ func TestSpMMCSRIAgreement(t *testing.T) {
 				x := make([]float64, n*st)
 				portableInterleave(x, st, xcols, n, s)
 
-				// Column-major reference: the shared tiled loop the CSR
-				// operator itself runs.
-				ref := make([]float64, n*s)
-				SpMMCSRCols(rowptr, colidx, val, xcols, n, ref, n, 0, n, s)
+				ref := refSpMMCols(rowptr, colidx, val, xcols, n, s)
 
 				for name, im := range sets() {
 					dst := make([]float64, n*st)
@@ -385,11 +444,7 @@ func TestSweepCSRIAgreement(t *testing.T) {
 					r := make([]float64, n*st)
 					portableInterleave(r, st, rcols, n, s)
 
-					// Column-major reference: the fused sweep the splitting
-					// package runs on column blocks.
-					refRhat := make([]float64, n*s)
-					refY := make([]float64, n*s)
-					SweepCSRCols(args, refRhat, rcols, refY, n, s)
+					refRhat := refSweepCols(args, rcols, n, s)
 
 					for name, im := range sets() {
 						rhat := make([]float64, n*st)
@@ -487,7 +542,7 @@ func TestSelectAndValidName(t *testing.T) {
 }
 
 // FuzzSpMMCSRI cross-checks the interleaved SpMM kernels against the
-// column-major tiled loop on random CSR patterns.
+// per-column row sums of CSR.MulVecTo on random CSR patterns.
 func FuzzSpMMCSRI(f *testing.F) {
 	f.Add(int64(1), 8, 8, 3)
 	f.Add(int64(2), 1, 1, 0)
@@ -503,8 +558,7 @@ func FuzzSpMMCSRI(f *testing.F) {
 		xcols := randSlice(rng, n*s)
 		x := make([]float64, n*st)
 		portableInterleave(x, st, xcols, n, s)
-		ref := make([]float64, n*s)
-		SpMMCSRCols(rowptr, colidx, val, xcols, n, ref, n, 0, n, s)
+		ref := refSpMMCols(rowptr, colidx, val, xcols, n, s)
 		for name, im := range sets() {
 			dst := make([]float64, n*st)
 			im.SpMMCSRI(rowptr, colidx, val, x, st, dst, st, 0, n, s)

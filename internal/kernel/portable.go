@@ -166,9 +166,10 @@ func portableSpMMDIAI(offsets []int, diags [][]float64, n int, x []float64, xs i
 // (Algorithm 2): forward color sweeps cache the lower block sums in y for
 // the backward half-sweep and vice versa, the backward sweep skips the last
 // color (identical re-solve), and the backward color-1 solve is elided on
-// steps 1..m−1. Per-column arithmetic order matches the column-contiguous
-// SweepCSRCols exactly; only the memory layout differs — the s per-column
-// block sums of one gathered row read from adjacent elements.
+// steps 1..m−1. Per-column arithmetic order matches the scalar sweep
+// (splitting.SixColorSSOR.ApplyMStep) exactly; only the memory layout
+// differs — the s per-column block sums of one gathered row read from
+// adjacent elements.
 func portableSweepCSRI(a *SweepArgs, rhat, r, y []float64, st, n, s int) {
 	m := len(a.Alphas)
 	ng := len(a.Start) - 1

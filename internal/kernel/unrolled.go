@@ -28,6 +28,20 @@ var unrolledImpl = Impl{
 	SweepCSRI:    unrolledSweepCSRI,
 }
 
+// colTile is the column-tile width of the generic (s ≠ 8) unrolled panel
+// loops: a row's index/value pair is loaded once per tile and fanned out
+// across up to colTile per-column accumulators held in a fixed-size stack
+// array.
+const colTile = 8
+
+// tileSpan returns the live width of the column tile starting at c0.
+func tileSpan(s, c0 int) int {
+	if w := s - c0; w < colTile {
+		return w
+	}
+	return colTile
+}
+
 func unrolledDot(x, y []float64) float64 {
 	y = y[:len(x)]
 	var s float64

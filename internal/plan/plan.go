@@ -169,13 +169,13 @@ const (
 	// column: r, r̂, p, Kp scratch plus u and f, 8 bytes per element.
 	bytesPerColumn = 6 * 8
 
-	// DefaultWideBlockThreshold is the tile width at which the block solve
-	// switches to the row-interleaved panel layout: narrow blocks (s = 1
-	// scalar solves above all) keep the column-contiguous layout, whose
-	// per-column zero-copy slices cost nothing, while wide tiles convert at
-	// the tile boundary so each gathered matrix row feeds every column from
-	// one cache line.
-	DefaultWideBlockThreshold = 4
+	// interleaveMinWidth is the tile width from which the block solve runs
+	// on the row-interleaved panel layout: wide tiles convert at the tile
+	// boundary so each gathered matrix row feeds every column from one
+	// cache line, while narrower tiles (s = 1 scalar solves above all) run
+	// their columns one by one through the scalar recurrence, which
+	// measures at least as fast as panels below this width.
+	interleaveMinWidth = 4
 
 	// DefaultDecompMinBytes is the single-matrix footprint (CSR values +
 	// column indices + the solve's n-vectors) above which Auto prefers the
@@ -209,10 +209,6 @@ type Planner struct {
 	// mesh-backed problem to the decomposed backend (default
 	// DefaultDecompMinBytes).
 	DecompMinBytes int
-	// WideBlockThreshold is the smallest tile width planned onto the
-	// row-interleaved panel layout (default DefaultWideBlockThreshold);
-	// negative disables interleaving entirely.
-	WideBlockThreshold int
 }
 
 // DecompInputs describes the mesh behind a solve — present only when the
@@ -276,9 +272,11 @@ type Plan struct {
 	// single-matrix backends): the mesh is partitioned this many ways and
 	// each subdomain gets a dedicated goroutine.
 	Subdomains int
-	// Interleave reports that the tiles run on the row-interleaved panel
-	// layout (every tile is at least WideBlockThreshold columns wide and
-	// the backend serves interleaved panels).
+	// Interleave reports that the tiles are planned onto the
+	// row-interleaved panel layout: every tile is at least four columns
+	// wide. The block solve honors it when the preconditioner can serve
+	// panels too. False on a multi-column tile means the tile runs column
+	// by column through the scalar recurrence.
 	Interleave bool
 	// Kernel names the kernel set the solve's fused loops run through
 	// ("portable", "avx2", "neon") — the resolved form of Inputs.Kernel.
@@ -426,14 +424,10 @@ func (pl Planner) Plan(in Inputs) Plan {
 	}
 
 	tiles := tile(s, width)
-	wide := pl.WideBlockThreshold
-	if wide == 0 {
-		wide = DefaultWideBlockThreshold
-	}
 	// Balanced tiling keeps widths within one of each other, so the last
 	// tile is the narrowest; interleave only when every tile clears the
 	// threshold (s = 1 scalar solves never do).
-	interleave := wide > 0 && len(tiles[len(tiles)-1]) >= wide
+	interleave := len(tiles[len(tiles)-1]) >= interleaveMinWidth
 
 	// Only the interleaved panel path threads a per-solve kernel policy;
 	// every other path dispatches through the process-wide startup set

@@ -8,31 +8,24 @@ import (
 
 // TestPlanInterleave pins the wide-block layout decision: interleave exactly
 // when every tile clears the threshold (balanced tiling makes the last tile
-// the narrowest), s = 1 never interleaves, negative threshold disables.
+// the narrowest), s = 1 never interleaves.
 func TestPlanInterleave(t *testing.T) {
 	const rows, width = 1000, 16
 	probe := &Probe{Rows: rows, Cols: rows, NNZ: 5 * rows, MaxRowNNZ: 5, NumDiags: 5, Fill: 1}
 	for _, tc := range []struct {
-		name      string
-		threshold int
-		s         int
-		want      bool
+		name string
+		s    int
+		want bool
 	}{
-		{"scalar solve stays columnar", 0, 1, false},
-		{"narrow block under default threshold", 0, 3, false},
-		{"at default threshold", 0, 4, true},
-		{"full tile", 0, 16, true},
-		{"split 9+8 keeps both wide", 0, 17, true},
-		{"custom threshold excludes", 10, 9, false},
-		{"custom threshold includes", 10, 16, true},
-		{"negative threshold disables", -1, 32, false},
+		{"scalar solve stays columnar", 1, false},
+		{"narrow block under threshold", 3, false},
+		{"at threshold", 4, true},
+		{"full tile", 16, true},
+		{"split 9+8 keeps both wide", 17, true},
 	} {
-		pl := pinned(rows, width)
-		pl.WideBlockThreshold = tc.threshold
-		p := pl.Plan(Inputs{Probe: probe, RHS: tc.s})
+		p := pinned(rows, width).Plan(Inputs{Probe: probe, RHS: tc.s})
 		if p.Interleave != tc.want {
-			t.Errorf("%s (threshold=%d s=%d): Interleave=%v want %v",
-				tc.name, tc.threshold, tc.s, p.Interleave, tc.want)
+			t.Errorf("%s (s=%d): Interleave=%v want %v", tc.name, tc.s, p.Interleave, tc.want)
 		}
 	}
 }

@@ -442,14 +442,6 @@ func batchSize(p Plan) int {
 	return s
 }
 
-// wideThreshold is the planner's effective interleave threshold.
-func (pl Planner) wideThreshold() int {
-	if pl.WideBlockThreshold == 0 {
-		return DefaultWideBlockThreshold
-	}
-	return pl.WideBlockThreshold
-}
-
 // kernelFor resolves the kernel set a candidate runs through, mirroring
 // Plan: only the interleaved panel path threads the per-solve policy.
 func kernelFor(interleave bool, policy string) string {
@@ -478,8 +470,7 @@ func (pl Planner) retiled(in Inputs, base Plan, width int) (Plan, bool) {
 	}
 	out := base
 	out.Tiles = tile(s, width)
-	wide := pl.wideThreshold()
-	out.Interleave = wide > 0 && len(out.Tiles[len(out.Tiles)-1]) >= wide
+	out.Interleave = len(out.Tiles[len(out.Tiles)-1]) >= interleaveMinWidth
 	out.Kernel = kernelFor(out.Interleave, in.Kernel)
 	if tileWidth(out) == tileWidth(base) && out.Interleave == base.Interleave {
 		return Plan{}, false
@@ -508,13 +499,12 @@ func (pl Planner) withWorkers(in Inputs, base Plan, w int) (Plan, bool) {
 
 // withInterleave proposes base with the panel layout toggled. Turning it
 // on needs every tile at least two columns wide (a one-column panel is the
-// scalar path) and the planner's threshold not negative (negative disables
-// interleaving entirely, a pin the tuner honors).
+// scalar path).
 func (pl Planner) withInterleave(in Inputs, base Plan, on bool) (Plan, bool) {
 	if on == base.Interleave || len(base.Tiles) == 0 {
 		return Plan{}, false
 	}
-	if on && (pl.wideThreshold() <= 0 || len(base.Tiles[len(base.Tiles)-1]) < 2) {
+	if on && len(base.Tiles[len(base.Tiles)-1]) < 2 {
 		return Plan{}, false
 	}
 	out := base

@@ -26,34 +26,10 @@ type Preconditioner interface {
 	Steps() int
 }
 
-// BlockApplier is the multi-right-hand-side fast path: preconditioners
-// that can serve a whole column block in one sweep implement it. Column j
-// of the result must equal Apply on column j exactly, so block CG matches
-// single-vector CG bit for bit.
-type BlockApplier interface {
-	// ApplyBlock computes z_j = M⁻¹·r_j for every column. z must not
-	// alias r.
-	ApplyBlock(z, r *vec.Multi)
-}
-
-// ApplyBlock computes z = M⁻¹·r column-block-wise: the preconditioner's
-// fused block path when it has one, otherwise a per-column Apply loop (the
-// column-contiguous Multi layout makes each column a zero-copy slice, so
-// the fallback costs nothing beyond the s separate sweeps).
-func ApplyBlock(p Preconditioner, z, r *vec.Multi) {
-	if ba, ok := p.(BlockApplier); ok {
-		ba.ApplyBlock(z, r)
-		return
-	}
-	for j := 0; j < z.S; j++ {
-		p.Apply(z.Col(j), r.Col(j))
-	}
-}
-
 // InterleavedApplier is the row-interleaved-panel fast path: preconditioners
 // that can serve a whole panel in one fused sweep implement it. Column j of
-// the result must equal Apply on column j exactly — the BlockApplier
-// contract carried over to the interleaved layout.
+// the result must equal Apply on column j exactly, so a block solve on
+// panels matches single-vector CG bit for bit.
 type InterleavedApplier interface {
 	// CanApplyInterleaved reports whether the fused interleaved path is
 	// available for this preconditioner's configuration. Callers (the block
@@ -85,9 +61,6 @@ type Identity struct{}
 // Apply copies r into z.
 func (Identity) Apply(z, r []float64) { copy(z, r) }
 
-// ApplyBlock copies r into z.
-func (Identity) ApplyBlock(z, r *vec.Multi) { copy(z.Data, r.Data) }
-
 // CanApplyInterleaved reports true: a copy works on any layout.
 func (Identity) CanApplyInterleaved() bool { return true }
 
@@ -108,7 +81,6 @@ type MStep struct {
 	Split           splitting.Splitting
 	Alphas          poly.Alphas
 	fast            splitting.MStepApplier
-	fastBlock       splitting.MStepBlockApplier
 	fastInterleaved splitting.MStepInterleavedApplier
 }
 
@@ -120,9 +92,6 @@ func NewMStep(sp splitting.Splitting, a poly.Alphas) (*MStep, error) {
 	m := &MStep{Split: sp, Alphas: a}
 	if fa, ok := sp.(splitting.MStepApplier); ok {
 		m.fast = fa
-	}
-	if fb, ok := sp.(splitting.MStepBlockApplier); ok {
-		m.fastBlock = fb
 	}
 	if fi, ok := sp.(splitting.MStepInterleavedApplier); ok {
 		m.fastInterleaved = fi
@@ -142,18 +111,6 @@ func (m *MStep) Apply(z, r []float64) {
 	mm := m.Alphas.M()
 	for s := 1; s <= mm; s++ {
 		m.Split.Step(z, r, m.Alphas.Coeffs[mm-s])
-	}
-}
-
-// ApplyBlock computes z_j = M_m⁻¹·r_j for every column: one fused m-step
-// block sweep when the splitting supports it, otherwise m steps per column.
-func (m *MStep) ApplyBlock(z, r *vec.Multi) {
-	if m.fastBlock != nil {
-		m.fastBlock.ApplyMStepBlock(z, r, m.Alphas.Coeffs)
-		return
-	}
-	for j := 0; j < z.S; j++ {
-		m.Apply(z.Col(j), r.Col(j))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/kernel"
 	"repro/internal/vec"
 )
 
@@ -80,47 +79,6 @@ func (a *CSR) ParMulVecTo(dst, x []float64, workers int) {
 			}
 			dst[i] = s
 		}
-	})
-}
-
-// MulMatTo computes dst = A·X for a column-block multivector X: one pass
-// over the matrix rows feeds all s columns, so row i's index/value block is
-// loaded once (staying in cache across the s column products) instead of
-// once per right-hand side — the SpMM form of the paper's
-// amortize-startup-over-longer-work argument. Per-column arithmetic order
-// matches MulVecTo exactly. dst must not alias x.
-func (a *CSR) MulMatTo(dst, x *vec.Multi) {
-	if x.N != a.Cols || dst.N != a.Rows || dst.S != x.S {
-		panic(fmt.Sprintf("sparse: MulMatTo dims: A %d×%d, x %d×%d, dst %d×%d",
-			a.Rows, a.Cols, x.N, x.S, dst.N, dst.S))
-	}
-	a.mulMatRange(dst, x, 0, a.Rows)
-}
-
-// mulMatRange runs the SpMM over the row range [lo, hi) via the fused
-// column-tiled kernel (kernel.SpMMCSRCols): each row's entry list is scanned
-// once per column tile (not once per column), with the tile's partial sums
-// accumulating in registers; per-column summation order still matches
-// MulVecTo exactly.
-func (a *CSR) mulMatRange(dst, x *vec.Multi, lo, hi int) {
-	kernel.SpMMCSRCols(a.RowPtr, a.ColIdx, a.Val, x.Data, a.Cols, dst.Data, dst.N, lo, hi, x.S)
-}
-
-// ParMulMatTo is MulMatTo with rows partitioned across up to `workers`
-// goroutines via vec.ParRange; each goroutine owns a contiguous row block
-// of every column, so the result is bitwise identical to the serial
-// product. workers == 1 takes the serial allocation-free path.
-func (a *CSR) ParMulMatTo(dst, x *vec.Multi, workers int) {
-	if workers == 1 {
-		a.MulMatTo(dst, x)
-		return
-	}
-	if x.N != a.Cols || dst.N != a.Rows || dst.S != x.S {
-		panic(fmt.Sprintf("sparse: ParMulMatTo dims: A %d×%d, x %d×%d, dst %d×%d",
-			a.Rows, a.Cols, x.N, x.S, dst.N, dst.S))
-	}
-	vec.ParRange(a.Rows, workers, func(lo, hi int) {
-		a.mulMatRange(dst, x, lo, hi)
 	})
 }
 

@@ -130,57 +130,6 @@ func (a *DIA) ParMulVecTo(dst, x []float64, workers int) {
 	})
 }
 
-// MulMatTo computes dst = A·X for a column-block multivector X: every
-// stored diagonal is traversed once and its triad applied to all s columns
-// — the matrix–multivector form of the Madsen–Rodrigue–Karush layout, with
-// the vector operands s times longer in aggregate. Per-column arithmetic
-// order matches MulVecTo exactly. dst must not alias x.
-func (a *DIA) MulMatTo(dst, x *vec.Multi) {
-	if x.N != a.N || dst.N != a.N || dst.S != x.S {
-		panic(fmt.Sprintf("sparse: DIA.MulMatTo dims: N=%d, x %d×%d, dst %d×%d",
-			a.N, x.N, x.S, dst.N, dst.S))
-	}
-	a.mulMatRange(dst, x, 0, a.N)
-}
-
-// mulMatRange runs the block product over the row range [lo, hi).
-func (a *DIA) mulMatRange(dst, x *vec.Multi, lo, hi int) {
-	for j := 0; j < dst.S; j++ {
-		c := dst.Col(j)
-		for i := lo; i < hi; i++ {
-			c[i] = 0
-		}
-	}
-	for k, d := range a.Offsets {
-		diag := a.Diags[k]
-		dlo, dhi := diagRange(a.N, d)
-		dlo, dhi = max(dlo, lo), min(dhi, hi)
-		for j := 0; j < x.S; j++ {
-			xc, dc := x.Col(j), dst.Col(j)
-			for i := dlo; i < dhi; i++ {
-				dc[i] += diag[i] * xc[i+d]
-			}
-		}
-	}
-}
-
-// ParMulMatTo is MulMatTo with rows partitioned across up to `workers`
-// goroutines; bitwise identical to the serial product, and serial (and
-// allocation-free) at workers == 1.
-func (a *DIA) ParMulMatTo(dst, x *vec.Multi, workers int) {
-	if workers == 1 {
-		a.MulMatTo(dst, x)
-		return
-	}
-	if x.N != a.N || dst.N != a.N || dst.S != x.S {
-		panic(fmt.Sprintf("sparse: DIA.ParMulMatTo dims: N=%d, x %d×%d, dst %d×%d",
-			a.N, x.N, x.S, dst.N, dst.S))
-	}
-	vec.ParRange(a.N, workers, func(lo, hi int) {
-		a.mulMatRange(dst, x, lo, hi)
-	})
-}
-
 // OpLengths returns the vector length of the triad performed for each
 // stored diagonal — the quantity that determines CYBER efficiency.
 func (a *DIA) OpLengths() []int {

@@ -10,9 +10,9 @@ import (
 // InterleavedOperator is the optional fast path of Operator: a backend that
 // can also apply itself to a row-interleaved panel (vec.IMulti), where one
 // gathered row index feeds all live columns from adjacent memory. The
-// solvers type-assert for it — a backend without it simply keeps the
-// column-contiguous block product — so adding the capability never breaks
-// the Operator contract.
+// solvers type-assert for it — a block solve over a backend without it
+// runs its columns one by one through MulVecTo — so adding the capability
+// never breaks the Operator contract.
 //
 // impl selects the kernel set for the product (nil means the
 // startup-selected set); the same Par contract as Operator applies: workers
@@ -41,8 +41,7 @@ func checkIDims(op string, rows, cols int, dst, x *vec.IMulti) {
 
 // MulMatITo computes dst = A·X for row-interleaved panels: each gathered
 // row index feeds all live columns from one cache line. Per-column
-// arithmetic order matches MulVecTo (and MulMatTo) exactly. dst must not
-// alias x.
+// arithmetic order matches MulVecTo exactly. dst must not alias x.
 func (a *CSR) MulMatITo(dst, x *vec.IMulti, impl *kernel.Impl) {
 	checkIDims("MulMatITo", a.Rows, a.Cols, dst, x)
 	if impl == nil {

@@ -4,25 +4,30 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/vec"
 )
 
+// mulMatCols is the column-contiguous reference product: column j of dst
+// is the single-vector product of column j of x.
+func mulMatCols(dst, x *vec.Multi, mulVec func([]float64) []float64) {
+	for j := 0; j < x.S; j++ {
+		copy(dst.Col(j), mulVec(x.Col(j)))
+	}
+}
+
 // TestMulMatIToMatchesMulMatTo pins the layout-parity contract: the
-// interleaved SpMM equals the column-contiguous SpMM bit for bit, for both
-// backends and both kernel sets, across shapes straddling the unroll widths.
+// interleaved SpMM, deinterleaved back to columns, equals the
+// column-contiguous product bit for bit, for both backends and both kernel
+// sets, across shapes straddling the unroll widths.
 func TestMulMatIToMatchesMulMatTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, impl := range []*kernel.Impl{kernel.Portable(), kernel.Active()} {
-		for _, n := range []int{1, 9, 64, 65} {
-			for _, s := range []int{1, 3, 8, 16} {
+	for _, impl := range kernelSets() {
+		for _, n := range spmmShapes.n {
+			for _, s := range spmmShapes.s {
 				a := randSquareCSR(rng, n, 0.2)
-				x := vec.NewMulti(n, s)
-				for i := range x.Data {
-					x.Data[i] = rng.NormFloat64()
-				}
+				x := randMulti(rng, n, s)
 				want := vec.NewMulti(n, s)
-				a.MulMatTo(want, x)
+				mulMatCols(want, x, a.MulVec)
 
 				ix := x.Interleaved()
 				idst := vec.NewIMulti(n, s)
@@ -39,7 +44,7 @@ func TestMulMatIToMatchesMulMatTo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dia.MulMatTo(want, x)
+				mulMatCols(want, x, dia.MulVec)
 				idst.Zero()
 				dia.MulMatITo(idst, ix, impl)
 				idst.DeinterleaveInto(got, impl)

@@ -1,13 +1,12 @@
 package sparse
 
-import "repro/internal/vec"
-
 // Operator is the matrix–vector contract the iterative solvers consume: any
 // storage backend that can report its shape and main diagonal and apply
-// itself to a vector or a column-block multivector, serially or with a
-// bounded goroutine fan-out. CSR and DIA both satisfy it; cg.Solve and
-// friends are written against this interface, so adding a backend (an
-// interleaved block layout, an SoA experiment) never touches the solver.
+// itself to a vector, serially or with a bounded goroutine fan-out. CSR and
+// DIA both satisfy it; cg.Solve and friends are written against this
+// interface, so adding a backend never touches the solver. Block solves
+// additionally look for InterleavedOperator; without it they run their
+// columns one by one through these single-vector products.
 //
 // Contract: the Par variants with workers == 1 must take the serial
 // allocation-free path and every parallel product must be bitwise identical
@@ -20,11 +19,6 @@ type Operator interface {
 	// ParMulVecTo is MulVecTo with rows partitioned across up to workers
 	// goroutines; workers <= 1 is serial and allocation-free.
 	ParMulVecTo(dst, x []float64, workers int)
-	// MulMatTo computes dst = A·X for a column-block multivector X.
-	MulMatTo(dst, x *vec.Multi)
-	// ParMulMatTo is MulMatTo with rows partitioned across up to workers
-	// goroutines; workers <= 1 is serial and allocation-free.
-	ParMulMatTo(dst, x *vec.Multi, workers int)
 	// Diag returns the main diagonal as a fresh dense vector (zeros where
 	// absent).
 	Diag() []float64

@@ -1,10 +1,12 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/vec"
 )
 
@@ -36,34 +38,62 @@ func randSquareCSR(rng *rand.Rand, n int, density float64) *CSR {
 	return c.ToCSR()
 }
 
-// TestCSRMulMatMatchesMulVec is the property test: for random matrices and
-// random multivectors, one SpMM equals s independent SpMVs, exactly.
-func TestCSRMulMatMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		rows := 1 + rng.Intn(40)
-		cols := 1 + rng.Intn(40)
-		s := 1 + rng.Intn(9)
-		a := randRectCSR(rng, rows, cols, 0.2)
-		x := vec.NewMulti(cols, s)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		dst := vec.NewMulti(rows, s)
-		a.MulMatTo(dst, x)
-		for j := 0; j < s; j++ {
-			want := a.MulVec(x.Col(j))
-			for i := range want {
-				if dst.Col(j)[i] != want[i] {
-					t.Fatalf("trial %d: CSR SpMM col %d row %d: %g != %g", trial, j, i, dst.Col(j)[i], want[i])
-				}
+// kernelSets is the portable reference set and the startup-selected one:
+// every interleaved product must agree across them bit for bit.
+func kernelSets() []*kernel.Impl { return []*kernel.Impl{kernel.Portable(), kernel.Active()} }
+
+// spmmShapes are the row counts and panel widths the SpMM property tests
+// sweep: they straddle the unrolled kernels' column and row widths.
+var spmmShapes = struct{ n, s []int }{[]int{1, 9, 64, 65}, []int{1, 3, 8, 16}}
+
+// randMulti returns an n×s multivector of standard normal entries.
+func randMulti(rng *rand.Rand, n, s int) *vec.Multi {
+	x := vec.NewMulti(n, s)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// checkSpMMCols asserts that column j of the panel product equals the
+// single-vector product mulVec(x_j) exactly, for every column.
+func checkSpMMCols(t *testing.T, what string, got *vec.IMulti, x *vec.Multi, mulVec func([]float64) []float64) {
+	t.Helper()
+	col := make([]float64, got.N)
+	for j := 0; j < x.S; j++ {
+		want := mulVec(x.Col(j))
+		got.ScatterCol(j, col)
+		for i := range want {
+			if col[i] != want[i] {
+				t.Fatalf("%s: col %d row %d: %g != %g", what, j, i, col[i], want[i])
 			}
 		}
-		par := vec.NewMulti(rows, s)
-		a.ParMulMatTo(par, x, 4)
-		for i := range par.Data {
-			if par.Data[i] != dst.Data[i] {
-				t.Fatalf("trial %d: ParMulMatTo differs from MulMatTo at %d", trial, i)
+	}
+}
+
+// TestCSRMulMatMatchesMulVec is the property test: for random (rectangular)
+// matrices and random multivectors, one interleaved SpMM equals s
+// independent SpMVs exactly, in both kernel sets, serial and parallel.
+func TestCSRMulMatMatchesMulVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, impl := range kernelSets() {
+		for _, rows := range spmmShapes.n {
+			for _, s := range spmmShapes.s {
+				cols := max(1, rows+rng.Intn(5)-2)
+				a := randRectCSR(rng, rows, cols, 0.2)
+				x := randMulti(rng, cols, s)
+				ix := x.Interleaved()
+				dst := vec.NewIMulti(rows, s)
+				a.MulMatITo(dst, ix, impl)
+				what := fmt.Sprintf("%s CSR %d×%d s=%d", impl.Name, rows, cols, s)
+				checkSpMMCols(t, what, dst, x, a.MulVec)
+				par := vec.NewIMulti(rows, s)
+				a.ParMulMatITo(par, ix, 4, impl)
+				for i := range par.Data {
+					if par.Data[i] != dst.Data[i] {
+						t.Fatalf("%s: ParMulMatITo differs from MulMatITo at %d", what, i)
+					}
+				}
 			}
 		}
 	}
@@ -72,29 +102,23 @@ func TestCSRMulMatMatchesMulVec(t *testing.T) {
 // TestDIAMulMatMatchesMulVec is the same property over diagonal storage.
 func TestDIAMulMatMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(40)
-		s := 1 + rng.Intn(9)
-		a := MustDIAFromCSR(randSquareCSR(rng, n, 0.15))
-		x := vec.NewMulti(n, s)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		dst := vec.NewMulti(n, s)
-		a.MulMatTo(dst, x)
-		for j := 0; j < s; j++ {
-			want := a.MulVec(x.Col(j))
-			for i := range want {
-				if dst.Col(j)[i] != want[i] {
-					t.Fatalf("trial %d: DIA SpMM col %d row %d: %g != %g", trial, j, i, dst.Col(j)[i], want[i])
+	for _, impl := range kernelSets() {
+		for _, n := range spmmShapes.n {
+			for _, s := range spmmShapes.s {
+				a := MustDIAFromCSR(randSquareCSR(rng, n, 0.15))
+				x := randMulti(rng, n, s)
+				ix := x.Interleaved()
+				dst := vec.NewIMulti(n, s)
+				a.MulMatITo(dst, ix, impl)
+				what := fmt.Sprintf("%s DIA n=%d s=%d", impl.Name, n, s)
+				checkSpMMCols(t, what, dst, x, a.MulVec)
+				par := vec.NewIMulti(n, s)
+				a.ParMulMatITo(par, ix, 4, impl)
+				for i := range par.Data {
+					if par.Data[i] != dst.Data[i] {
+						t.Fatalf("%s: ParMulMatITo differs at %d", what, i)
+					}
 				}
-			}
-		}
-		par := vec.NewMulti(n, s)
-		a.ParMulMatTo(par, x, 4)
-		for i := range par.Data {
-			if par.Data[i] != dst.Data[i] {
-				t.Fatalf("trial %d: DIA ParMulMatTo differs at %d", trial, i)
 			}
 		}
 	}
@@ -116,34 +140,33 @@ func TestParSpMMLarge(t *testing.T) {
 		}
 	}
 	a := c.ToCSR()
-	x := vec.NewMulti(n, s)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	serial := vec.NewMulti(n, s)
-	a.MulMatTo(serial, x)
-	par := vec.NewMulti(n, s)
-	a.ParMulMatTo(par, x, 4)
+	x := randMulti(rng, n, s)
+	ix := x.Interleaved()
+	serial := vec.NewIMulti(n, s)
+	a.MulMatITo(serial, ix, nil)
+	par := vec.NewIMulti(n, s)
+	a.ParMulMatITo(par, ix, 4, nil)
 	for i := range par.Data {
 		if par.Data[i] != serial.Data[i] {
-			t.Fatalf("CSR ParMulMatTo (chunked) differs at %d", i)
+			t.Fatalf("CSR ParMulMatITo (chunked) differs at %d", i)
 		}
 	}
 
 	d := MustDIAFromCSR(a)
-	dSerial := vec.NewMulti(n, s)
-	d.MulMatTo(dSerial, x)
-	dPar := vec.NewMulti(n, s)
-	d.ParMulMatTo(dPar, x, 4)
+	dSerial := vec.NewIMulti(n, s)
+	d.MulMatITo(dSerial, ix, nil)
+	dPar := vec.NewIMulti(n, s)
+	d.ParMulMatITo(dPar, ix, 4, nil)
 	for i := range dPar.Data {
 		if dPar.Data[i] != dSerial.Data[i] {
-			t.Fatalf("DIA ParMulMatTo (chunked) differs at %d", i)
+			t.Fatalf("DIA ParMulMatITo (chunked) differs at %d", i)
 		}
 	}
-	v := make([]float64, n)
+	v, want := make([]float64, n), make([]float64, n)
 	d.ParMulVecTo(v, x.Col(0), 4)
+	dSerial.ScatterCol(0, want)
 	for i := range v {
-		if v[i] != dSerial.Col(0)[i] {
+		if v[i] != want[i] {
 			t.Fatalf("DIA ParMulVecTo (chunked) differs at %d", i)
 		}
 	}

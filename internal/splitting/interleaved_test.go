@@ -50,8 +50,8 @@ func TestApplyMStepInterleavedMatchesPerColumn(t *testing.T) {
 }
 
 // TestApplyMStepInterleavedRelaxedUnavailable: ω ≠ 1 has no fused
-// interleaved sweep — the capability probe must say so, and the solvers fall
-// back to the column-contiguous layout.
+// interleaved sweep — the capability probe must say so, and the solvers run
+// such blocks column by column.
 func TestApplyMStepInterleavedRelaxedUnavailable(t *testing.T) {
 	k, start, _ := coloredPlate(t, 6, 6)
 	s, err := NewMulticolorSSOR(k, start, 1.3)

@@ -25,7 +25,7 @@ type SixColorSSOR struct {
 	Start []int // group boundaries: group c spans [Start[c], Start[c+1])
 	d     []float64
 	y     []float64 // Conrad–Wallach cache, one value per unknown
-	yb    []float64 // block-apply cache, one value per unknown per column
+	yb    []float64 // interleaved-apply cache, one value per unknown per panel slot
 	omega float64
 	ka    kernel.SweepArgs // reused matrix-side argument block for the fused sweeps
 }
@@ -224,48 +224,6 @@ func (s *SixColorSSOR) ApplyMStep(rhat, r []float64, alphas []float64) {
 	}
 }
 
-// ApplyMStepBlock computes r̂_j = M_m⁻¹·r_j for every column of a
-// multivector with one fused sweep structure: at each (step, color, row)
-// the solve runs across all s columns while row i's index/value block is
-// hot in cache, so a block application traverses K's rows once per
-// half-sweep instead of once per half-sweep per right-hand side. Column j
-// reproduces ApplyMStep on column j exactly (same per-column arithmetic
-// order, including the Conrad–Wallach caching and dead-solve elisions).
-//
-// Like Apply/Step, this mutates per-splitting scratch and is not safe for
-// concurrent use; the service's preconditioner pool hands each job its own
-// instance.
-func (s *SixColorSSOR) ApplyMStepBlock(rhat, r *vec.Multi, alphas []float64) {
-	m := len(alphas)
-	if m < 1 {
-		panic("splitting: ApplyMStepBlock needs at least one step")
-	}
-	n, ns := s.K.Rows, rhat.S
-	if rhat.N != n || r.N != n || r.S != ns {
-		panic(fmt.Sprintf("splitting: ApplyMStepBlock dims: K %d×%d, r %d×%d, rhat %d×%d",
-			n, n, r.N, r.S, rhat.N, rhat.S))
-	}
-	if s.omega != 1 || ns < 4 {
-		// The fused elisions need ω = 1 (see ApplyMStep); and narrow
-		// blocks lose more to the tile bookkeeping than the fused row
-		// scans save, so they take the per-column sweeps.
-		for j := 0; j < ns; j++ {
-			s.ApplyMStep(rhat.Col(j), r.Col(j), alphas)
-		}
-		return
-	}
-	if cap(s.yb) < n*ns {
-		s.yb = make([]float64, n*ns)
-	}
-	// The fused body lives in kernel.SweepCSRCols: row entries are scanned
-	// once per column tile (not once per column), each K value/index pair
-	// loading once and fanning out across the tile's per-column block sums.
-	// Per-column arithmetic order still matches lowerSum/upperSum exactly
-	// (−a−b ≡ −(a+b) in IEEE arithmetic, negation being exact).
-	s.sweepArgs(alphas)
-	kernel.SweepCSRCols(&s.ka, rhat.Data, r.Data, s.yb[:n*ns], n, ns)
-}
-
 // sweepArgs refreshes the reused kernel argument block for a fused sweep.
 func (s *SixColorSSOR) sweepArgs(alphas []float64) {
 	s.ka = kernel.SweepArgs{
@@ -283,11 +241,21 @@ func (s *SixColorSSOR) sweepArgs(alphas []float64) {
 // ω = 1.
 func (s *SixColorSSOR) CanApplyMStepInterleaved() bool { return s.omega == 1 }
 
-// ApplyMStepInterleaved is ApplyMStepBlock over row-interleaved panels: the
-// s per-column block sums of a gathered row read from adjacent memory, and
-// impl selects the kernel set (nil means the startup-selected one). Column j
-// reproduces ApplyMStep on column j exactly. Callers must check
-// CanApplyMStepInterleaved first; rhat and r must share one stride.
+// ApplyMStepInterleaved computes r̂_j = M_m⁻¹·r_j for every live column of
+// row-interleaved panels with one fused sweep structure: at each (step,
+// color, row) the solve runs across all s columns while row i's index/value
+// block is hot in cache, so a panel application traverses K's rows once per
+// half-sweep instead of once per half-sweep per right-hand side, and the s
+// per-column block sums of a gathered row read from adjacent memory. impl
+// selects the kernel set (nil means the startup-selected one). Column j
+// reproduces ApplyMStep on column j exactly (same per-column arithmetic
+// order, including the Conrad–Wallach caching and dead-solve elisions;
+// −a−b ≡ −(a+b) in IEEE arithmetic, negation being exact).
+//
+// Like Apply/Step, this mutates per-splitting scratch and is not safe for
+// concurrent use; the engine's preconditioner pool hands each job its own
+// instance. Callers must check CanApplyMStepInterleaved first; rhat and r
+// must share one stride.
 func (s *SixColorSSOR) ApplyMStepInterleaved(rhat, r *vec.IMulti, alphas []float64, impl *kernel.Impl) {
 	m := len(alphas)
 	if m < 1 {

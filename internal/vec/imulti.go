@@ -123,8 +123,8 @@ func resolveImpl(impl *kernel.Impl) *kernel.Impl {
 
 // IMultiDot computes dst[j] = (x_j, y_j) for every live column in one fused
 // pass over the panels. Per-column summation order matches Dot exactly, so
-// the interleaved block CG recurrence reproduces the column-contiguous one
-// bit for bit.
+// the interleaved block CG recurrence reproduces the scalar one bit for
+// bit.
 func IMultiDot(x, y *IMulti, dst []float64, impl *kernel.Impl) {
 	x.checkShape("IMultiDot", y)
 	checkScalars("IMultiDot", len(dst), x.S)
@@ -161,7 +161,7 @@ func IMultiNormInf(x *IMulti, dst []float64, impl *kernel.Impl) {
 // ParIMultiDot is IMultiDot with the row range fanned out over up to
 // `workers` goroutines. It uses the same row chunking as ParDot and combines
 // per-chunk partial sums in chunk-index order, so for a fixed worker count
-// it is bit-identical to ParMultiDot on the column-contiguous form.
+// it is bit-identical to ParDot on each column.
 func ParIMultiDot(x, y *IMulti, workers int, dst []float64, impl *kernel.Impl) {
 	x.checkShape("ParIMultiDot", y)
 	checkScalars("ParIMultiDot", len(dst), x.S)
@@ -222,4 +222,10 @@ func ParIMultiXpay(x *IMulti, betas []float64, y *IMulti, workers int, impl *ker
 	ParRange(x.N, workers, func(lo, hi int) {
 		k.XpayI(x.Data[lo*st:], betas, y.Data[lo*st:], st, hi-lo, s)
 	})
+}
+
+func checkScalars(op string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("vec: %s needs %d per-column scalars, got %d", op, want, got))
+	}
 }

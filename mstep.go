@@ -282,12 +282,14 @@ func (p *Problem) F() []float64 {
 
 // SolveBatch runs the configured m-step PCG method against every
 // right-hand side in fs at once: the splitting, polynomial coefficients
-// and spectral-interval estimate are built a single time, and each block
-// iteration performs one matrix–multivector product and one block
-// preconditioner sweep shared by all still-unconverged columns — solving s
-// load cases against one stiffness matrix for far less than s sequential
-// solves. Result j corresponds to fs[j] and matches Solve on the same
-// right-hand side to machine precision.
+// and spectral-interval estimate are built a single time. Wide tiles whose
+// preconditioner can serve interleaved panels run block iterations that
+// perform one matrix–multivector product and one panel preconditioner
+// sweep shared by all still-unconverged columns — solving s load cases
+// against one stiffness matrix for far less than s sequential solves;
+// other tiles solve their columns one by one. Result j corresponds to
+// fs[j] and matches Solve on the same right-hand side to machine
+// precision.
 //
 // The returned error is nil only when every column converged; partial
 // results are still returned alongside a joined per-column error.
